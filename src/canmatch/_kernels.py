@@ -1,91 +1,75 @@
-"""Path-enumeration kernel: tolerance-pruned DFS over a CSR road graph.
+"""Path-enumeration kernel: tolerance-pruned search over a CSR road graph.
 
-This is the package's hot loop (worst case grows with the factorial of the
-node count), so it is compiled with numba when available. Set the
-environment variable CANMATCH_NUMBA=0 before import to force the pure
-Python fallback; both backends run the identical function body, so results
-are bit-for-bit the same.
+The search moves blocks of partial paths through numpy instead of one path
+at a time. A stack holds blocks of at most BLOCK_ROWS equal-length partial
+paths. Popping a block gathers the neighbour slots of every row in slot
+order, keeps the edges that pass that depth's tolerance test (and, unless
+node reuse is allowed, lead off the path), and pushes the extended rows
+back as blocks, first block on top. Complete paths therefore come out in
+exactly the order a depth-first search from node 0 upward finds them. The
+stack holds what is left of at most one expanded block per depth, so
+memory stays bounded however many paths match.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-ENV_FLAG = "CANMATCH_NUMBA"
+BLOCK_ROWS = 2048
 
 
-def _enumerate_impl(indptr, nbrs, lens, wr, sigma, max_count, allow_reuse, out):
+def enumerate_matches(indptr, nbrs, lens, wr, sigma, max_count, allow_reuse, out):
     """Enumerate node paths whose edge lengths match wr within sigma.
 
-    Iterative DFS from every start node. A neighbor extends the path at
-    depth d only when its edge length w satisfies |w - wr[d]| <= sigma*w.
-    Complete paths (len(wr)+1 nodes) are written flat into out. Returns
-    (count, truncated); enumeration stops as soon as max_count paths are
-    recorded, keeping a deterministic prefix.
+    A path extends along an edge of length w at depth d only when
+    |w - wr[d]| <= sigma*w. Complete paths (len(wr)+1 nodes) are written
+    flat into out in depth-first order. Returns (count, truncated); when
+    more than max_count paths exist, out holds the first max_count.
     """
     n = indptr.shape[0] - 1
     q = wr.shape[0] + 1
-    visited = np.zeros(n, dtype=np.bool_)
-    path = np.empty(q, dtype=np.int64)
-    cursor = np.empty(q, dtype=np.int64)
+    # per depth: the CSR cut down to the edges that pass that depth's test
+    levels = []
+    for d in range(q - 1):
+        ok = np.abs(lens - wr[d]) <= sigma * lens
+        kept = np.concatenate(([0], np.cumsum(ok)))
+        levels.append((kept[indptr], nbrs[ok]))
+    starts = np.arange(n, dtype=np.int64)[:, None]
+    stack = [starts[i : i + BLOCK_ROWS] for i in range(0, n, BLOCK_ROWS)][::-1]
     count = 0
-    for s in range(n):
-        path[0] = s
-        visited[s] = True
-        cursor[0] = indptr[s]
-        d = 0
-        while d >= 0:
-            u = path[d]
-            i = cursor[d]
-            if i < indptr[u + 1]:
-                cursor[d] = i + 1
-                v = nbrs[i]
-                if (not allow_reuse) and visited[v]:
-                    continue
-                w = lens[i]
-                diff = w - wr[d]
-                if diff < 0.0:
-                    diff = -diff
-                if diff > sigma * w:
-                    continue
-                if d == q - 2:
-                    if count >= max_count:
-                        return count, True
-                    base = count * q
-                    for j in range(q - 1):
-                        out[base + j] = path[j]
-                    out[base + q - 1] = v
-                    count += 1
-                else:
-                    d += 1
-                    path[d] = v
-                    visited[v] = True
-                    cursor[d] = indptr[v]
-            else:
-                visited[u] = False
-                d -= 1
+    while stack:
+        block = stack.pop()
+        d = block.shape[1] - 1
+        ptr, adj = levels[d]
+        last = block[:, -1]
+        lo = ptr[last]
+        deg = ptr[last + 1] - lo
+        total = int(deg.sum())
+        if total == 0:
+            continue
+        rep = np.repeat(np.arange(block.shape[0]), deg)
+        v = adj[np.arange(total) + np.repeat(lo - (np.cumsum(deg) - deg), deg)]
+        parents = block[rep]
+        if not allow_reuse:
+            fresh = ~(parents == v[:, None]).any(axis=1)
+            parents, v = parents[fresh], v[fresh]
+        child = np.empty((v.size, d + 2), dtype=np.int64)
+        child[:, :-1] = parents
+        child[:, -1] = v
+        if d + 2 < q:
+            stack.extend(
+                child[i : i + BLOCK_ROWS]
+                for i in reversed(range(0, v.size, BLOCK_ROWS))
+            )
+        elif count + v.size > max_count:
+            out[count * q : max_count * q] = child[: max_count - count].ravel()
+            return max_count, True
+        else:
+            out[count * q : (count + v.size) * q] = child.ravel()
+            count += v.size
     return count, False
 
 
-def _pick_backend():
-    if os.environ.get(ENV_FLAG, "1").lower() in ("0", "false", "no"):
-        return _enumerate_impl, "python"
-    try:
-        from numba import njit
-    except ImportError:
-        return _enumerate_impl, "python"
-    return njit(cache=True, nogil=True)(_enumerate_impl), "numba"
-
-
-_active, _backend_name = _pick_backend()
-
-# pure build kept importable for the benchmark regardless of backend
-enumerate_matches_python = _enumerate_impl
-enumerate_matches = _active
-
-
 def backend() -> str:
-    """Which implementation is live: 'numba' or 'python'."""
-    return _backend_name
+    """Which implementation is live."""
+    return "numpy"

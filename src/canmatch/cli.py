@@ -5,8 +5,9 @@ evaluate, sweep. Options may come from a JSON config file (--config);
 flags given on the command line win over the file, which wins over the
 defaults. Stage progress goes to stderr as key=value lines.
 
-Exit codes: 0 success, 2 unreadable or malformed input, 3 the pipeline
-produced nothing to continue with, 4 internal invariant violation.
+Exit codes: 0 success, 2 unreadable or malformed input or option values,
+3 the pipeline produced nothing to continue with, 4 internal invariant
+violation.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 from . import canlog, matcher, metrics, roadnet, simulate, trajgraph
 from ._kernels import backend
 from .errors import (
+    BadOption,
     CanMatchError,
     DanglingNodeRef,
     EmptyLog,
@@ -46,6 +48,7 @@ EXIT_EMPTY = 3
 EXIT_INVARIANT = 4
 
 _INPUT_ERRORS = (
+    BadOption,
     EmptyLog,
     MalformedRow,
     UnknownSignal,
@@ -125,17 +128,20 @@ def _profile_from(args, config: dict) -> simulate.DriveProfile:
 
 
 def _match_config_from(args, config: dict) -> matcher.MatchConfig:
-    ladder = _setting(args, config, "sigma-ladder", matcher.DEFAULT_SIGMA_LADDER)
-    if isinstance(ladder, str):
-        ladder = _parse_floats(ladder)
-    return matcher.MatchConfig(
-        sigma_ladder=tuple(ladder),
-        k=int(_setting(args, config, "k", 5)),
-        max_candidates=int(
-            _setting(args, config, "max-candidates", matcher.DEFAULT_MAX_CANDIDATES)
-        ),
-        allow_node_reuse=bool(_setting(args, config, "allow-node-reuse", False)),
-    )
+    try:
+        ladder = _setting(args, config, "sigma-ladder", matcher.DEFAULT_SIGMA_LADDER)
+        if isinstance(ladder, str):
+            ladder = _parse_floats(ladder)
+        return matcher.MatchConfig(
+            sigma_ladder=tuple(ladder),
+            k=int(_setting(args, config, "k", 5)),
+            max_candidates=int(
+                _setting(args, config, "max-candidates", matcher.DEFAULT_MAX_CANDIDATES)
+            ),
+            allow_node_reuse=bool(_setting(args, config, "allow-node-reuse", False)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise BadOption(f"bad match option: {exc}") from exc
 
 
 # --- subcommands ---
@@ -223,13 +229,13 @@ def cmd_build_trajectory(args) -> int:
 
 def cmd_attack(args) -> int:
     config = _load_config(args.config)
+    mcfg = _match_config_from(args, config)
     t0 = time.monotonic()
     log = canlog.read_can_csv(args.log)
     g = roadnet.load_graph(args.graph)
     _log("parse", speed_rows=log.speed.count, graph_nodes=len(g.nodes), kernel=backend())
     traj = _build_traj(args, config, log, g)
     _log("build_trajectory", nodes=traj.node_count)
-    mcfg = _match_config_from(args, config)
     result = matcher.run_attack(g, traj, mcfg)
     _log(
         "match",

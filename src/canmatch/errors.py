@@ -7,6 +7,12 @@ class CanMatchError(Exception):
     """Base class for all errors raised by this package."""
 
 
+# --- options ---
+
+class BadOption(CanMatchError):
+    """A command-line or config-file option has an invalid value."""
+
+
 # --- CAN log parsing ---
 
 class EmptyLog(CanMatchError):

@@ -8,8 +8,10 @@ mean absolute weight deviation per edge; smaller is better.
 
 from __future__ import annotations
 
+import mmap
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,27 +127,30 @@ def result_from_dict(doc: dict) -> AttackResult:
 
 
 def _graph_csr(g: RoadGraph):
-    """CSR arrays for the kernel, cached on the graph instance."""
+    """CSR arrays for the kernel, cached on the graph instance.
+
+    Returns (ids, indptr, nbrs, lens, keys). Node indices follow sorted
+    node ids, and each node's neighbour slots run in ascending index order,
+    so the slot keys u*n+v are sorted, the kernel finds paths in node-id
+    order, and the length of edge (u, v) is lens[searchsorted(keys, u*n+v)].
+    """
     cached = getattr(g, "_csr_cache", None)
     if cached is not None:
         return cached
     ids = sorted(g.nodes)
+    n = len(ids)
     index = {nid: i for i, nid in enumerate(ids)}
-    deg = np.zeros(len(ids) + 1, dtype=np.int64)
-    for e in g.edges:
-        deg[index[e.u] + 1] += 1
-        deg[index[e.v] + 1] += 1
-    indptr = np.cumsum(deg)
-    nbrs = np.empty(indptr[-1], dtype=np.int64)
-    lens = np.empty(indptr[-1], dtype=np.float64)
-    fill = indptr[:-1].copy()
-    for u, neighbors in g.adjacency().items():
-        ui = index[u]
-        for v, w in neighbors:
-            nbrs[fill[ui]] = index[v]
-            lens[fill[ui]] = w
-            fill[ui] += 1
-    cached = (ids, indptr, nbrs, lens)
+    m = len(g.edges)
+    u = np.fromiter((index[e.u] for e in g.edges), dtype=np.int64, count=m)
+    v = np.fromiter((index[e.v] for e in g.edges), dtype=np.int64, count=m)
+    w = np.fromiter((e.length_m for e in g.edges), dtype=np.float64, count=m)
+    keys = np.concatenate((u * n + v, v * n + u))
+    order = np.argsort(keys)
+    keys = keys[order]
+    nbrs = np.concatenate((v, u))[order]
+    lens = np.concatenate((w, w))[order]
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    cached = (ids, indptr, nbrs, lens, keys)
     g._csr_cache = cached
     return cached
 
@@ -171,75 +176,88 @@ def theta(traj, cand: CandidatePath) -> float:
     return float(np.abs(wr - lens).sum() / wr.size)
 
 
-def _admits(lens: np.ndarray, wr: np.ndarray, sigma: float) -> bool:
-    return bool(np.all(np.abs(lens - wr) <= sigma * lens))
-
-
-def _dedup_orientations(cands: list[CandidatePath]) -> list[CandidatePath]:
-    """Keep one candidate per undirected path: its best-aligned orientation.
+def _dedup_orientations(paths: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Rows to keep: one per undirected path, its best-aligned orientation.
 
     The two traversal directions of one road path score the trajectory
     weights against opposite edge orders, so their thetas differ. The
     lower-theta orientation wins; exact ties keep the smaller node-id
-    sequence.
+    sequence. The rows of paths must be in node-id order, so a lower row
+    index means a smaller node-id sequence; the kept indices ascend.
     """
-    best: dict[tuple[str, ...], CandidatePath] = {}
-    for c in cands:
-        key = min(c.node_ids, c.node_ids[::-1])
-        cur = best.get(key)
-        if cur is None or (c.theta_m, c.node_ids) < (cur.theta_m, cur.node_ids):
-            best[key] = c
-    return sorted(best.values(), key=lambda c: c.node_ids)
+    rows = np.arange(len(paths))
+    rev = paths[:, ::-1]
+    first = (paths != rev).argmax(axis=1)
+    canon = np.where((paths[rows, first] <= rev[rows, first])[:, None], paths, rev)
+    order = np.lexsort(canon.T[::-1])
+    same = (canon[order[1:]] == canon[order[:-1]]).all(axis=1)
+    a, b = order[:-1][same], order[1:][same]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    lo_wins = thetas[lo] <= thetas[hi]
+    keep = np.ones(len(paths), dtype=np.bool_)
+    keep[hi[lo_wins]] = False
+    keep[lo[~lo_wins]] = False
+    return rows[keep]
 
 
-def _build_candidates(
-    g: RoadGraph, ids: list[str], index_paths, wr: np.ndarray, sigma: float
-) -> list[CandidatePath]:
-    adj = g.adjacency()
-    length_of = {}
-    for e in g.edges:
-        length_of[(e.u, e.v)] = e.length_m
-        length_of[(e.v, e.u)] = e.length_m
-    out = []
-    for p in index_paths:
-        node_ids = tuple(ids[i] for i in p)
-        lens = np.array(
-            [length_of[(a, b)] for a, b in zip(node_ids, node_ids[1:])],
-            dtype=np.float64,
-        )
-        residuals = np.abs(lens - wr)
-        out.append(
+class _Rung(NamedTuple):
+    """One sigma rung's deduplicated matches as row-aligned arrays, in node-id order."""
+
+    ids: list[str]
+    paths: np.ndarray  # (count, q) node indices into ids
+    lens: np.ndarray  # (count, q-1) road edge lengths
+    residuals: np.ndarray  # (count, q-1) |lens - wr|
+    thetas: np.ndarray  # (count,)
+    sigma: float
+    truncated: bool
+
+    def candidates(self, rows=slice(None)) -> list[CandidatePath]:
+        ids = self.ids
+        return [
             CandidatePath(
-                node_ids=node_ids,
-                edge_lengths_m=tuple(float(x) for x in lens),
-                residuals_m=tuple(float(x) for x in residuals),
-                theta_m=float(residuals.sum() / wr.size),
-                sigma_used=sigma,
+                node_ids=tuple(ids[i] for i in p),
+                edge_lengths_m=tuple(lens),
+                residuals_m=tuple(res),
+                theta_m=th,
+                sigma_used=self.sigma,
             )
-        )
-    return out
+            for p, lens, res, th in zip(
+                self.paths[rows].tolist(),
+                self.lens[rows].tolist(),
+                self.residuals[rows].tolist(),
+                self.thetas[rows].tolist(),
+            )
+        ]
 
 
 def _match_info(
-    g: RoadGraph,
-    traj,
-    sigma: float,
-    *,
-    max_candidates: int = DEFAULT_MAX_CANDIDATES,
-    allow_node_reuse: bool = False,
-) -> tuple[list[CandidatePath], bool]:
+    g: RoadGraph, traj, sigma: float, max_candidates: int, allow_node_reuse: bool
+) -> _Rung:
     wr = _edge_weights(traj)
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    ids, indptr, nbrs, lens = _graph_csr(g)
+    ids, indptr, nbrs, lens, keys = _graph_csr(g)
     q = wr.size + 1
-    out = np.empty(max_candidates * q, dtype=np.int64)
+    # An anonymous mapping commits only the pages the kernel writes and goes
+    # back to the OS when freed; a malloc'd buffer this size can stay resident.
+    out = np.frombuffer(mmap.mmap(-1, max_candidates * q * 8), dtype=np.int64)
     count, truncated = _kernels.enumerate_matches(
         indptr, nbrs, lens, wr, float(sigma), max_candidates, allow_node_reuse, out
     )
-    raw = [tuple(int(x) for x in out[i * q : (i + 1) * q]) for i in range(count)]
-    cands = _dedup_orientations(_build_candidates(g, ids, raw, wr, sigma))
-    return cands, bool(truncated)
+    paths = out[: count * q].reshape(count, q)
+    edge_lens = lens[np.searchsorted(keys, paths[:, :-1] * len(ids) + paths[:, 1:])]
+    residuals = np.abs(edge_lens - wr)
+    thetas = residuals.sum(axis=1) / wr.size
+    keep = _dedup_orientations(paths, thetas)
+    return _Rung(
+        ids,
+        paths[keep],
+        edge_lens[keep],
+        residuals[keep],
+        thetas[keep],
+        sigma,
+        bool(truncated),
+    )
 
 
 def match_paths(
@@ -257,38 +275,22 @@ def match_paths(
     and returns a deterministic prefix if more than max_candidates raw
     paths exist.
     """
-    cands, truncated = _match_info(
-        g,
-        traj,
-        sigma,
-        max_candidates=max_candidates,
-        allow_node_reuse=allow_node_reuse,
-    )
-    if truncated:
+    rung = _match_info(g, traj, sigma, max_candidates, allow_node_reuse)
+    if rung.truncated:
         warnings.warn(
             f"enumeration stopped at {max_candidates} paths", Truncated, stacklevel=2
         )
-    return cands
+    return rung.candidates()
 
 
-def _escalate_info(
-    g: RoadGraph, traj, config: MatchConfig
-) -> tuple[list[CandidatePath], float | None, bool]:
-    cands: list[CandidatePath] = []
-    sigma_used = None
-    truncated = False
+def _escalate(g: RoadGraph, traj, config: MatchConfig) -> _Rung:
     for sigma in config.sigma_ladder:
-        cands, truncated = _match_info(
-            g,
-            traj,
-            sigma,
-            max_candidates=config.max_candidates,
-            allow_node_reuse=config.allow_node_reuse,
+        rung = _match_info(
+            g, traj, sigma, config.max_candidates, config.allow_node_reuse
         )
-        sigma_used = sigma
-        if len(cands) >= config.k:
+        if len(rung.thetas) >= config.k:
             break
-    return cands, sigma_used, truncated
+    return rung
 
 
 def escalate_and_match(g: RoadGraph, traj, config: MatchConfig) -> list[CandidatePath]:
@@ -298,14 +300,14 @@ def escalate_and_match(g: RoadGraph, traj, config: MatchConfig) -> list[Candidat
     exhausted, returns whatever the largest sigma produced (possibly
     nothing). Every candidate is tagged with the sigma that admitted it.
     """
-    cands, _, truncated = _escalate_info(g, traj, config)
-    if truncated:
+    rung = _escalate(g, traj, config)
+    if rung.truncated:
         warnings.warn(
             f"enumeration stopped at {config.max_candidates} paths",
             Truncated,
             stacklevel=2,
         )
-    return cands
+    return rung.candidates()
 
 
 def top_k(
@@ -329,11 +331,16 @@ def top_k(
 
 
 def run_attack(g: RoadGraph, traj: TrajectoryGraph, config: MatchConfig) -> AttackResult:
-    """Escalate, rank, and package: the full matching pipeline."""
-    cands, sigma_used, truncated = _escalate_info(g, traj, config)
-    result = top_k(cands, config.k, trajectory=traj, config=config)
-    result.sigma_used = sigma_used
-    result.truncated = truncated
+    """Escalate, rank, and package: the full matching pipeline.
+
+    Only the k best rows become CandidatePath objects: a stable sort by
+    theta over rows in node-id order picks what top_k would.
+    """
+    rung = _escalate(g, traj, config)
+    best = np.argsort(rung.thetas, kind="stable")[: config.k]
+    result = top_k(rung.candidates(best), config.k, trajectory=traj, config=config)
+    result.sigma_used = rung.sigma
+    result.truncated = rung.truncated
     return result
 
 
@@ -380,22 +387,26 @@ def brute_force_match(
     for start in ids:
         walk(start)
 
-    cands = []
+    # one candidate per undirected path: lower theta, then smaller node ids
+    best: dict[tuple[str, ...], CandidatePath] = {}
+    weights = wr.tolist()
     for p in complete:
-        lens = np.array([length_of[(a, b)] for a, b in zip(p, p[1:])])
-        if not _admits(lens, wr, sigma):
+        lens = [length_of[(a, b)] for a, b in zip(p, p[1:])]
+        if not all(abs(l - w) <= sigma * l for l, w in zip(lens, weights)):
             continue
-        residuals = np.abs(lens - wr)
-        cands.append(
-            CandidatePath(
-                node_ids=p,
-                edge_lengths_m=tuple(float(x) for x in lens),
-                residuals_m=tuple(float(x) for x in residuals),
-                theta_m=float(residuals.sum() / wr.size),
-                sigma_used=float(sigma),
-            )
+        residuals = np.abs(np.array(lens) - wr)
+        c = CandidatePath(
+            node_ids=p,
+            edge_lengths_m=tuple(map(float, lens)),
+            residuals_m=tuple(float(x) for x in residuals),
+            theta_m=float(residuals.sum() / wr.size),
+            sigma_used=float(sigma),
         )
-    return _dedup_orientations(cands)
+        key = min(p, p[::-1])
+        cur = best.get(key)
+        if cur is None or (c.theta_m, c.node_ids) < (cur.theta_m, cur.node_ids):
+            best[key] = c
+    return sorted(best.values(), key=lambda c: c.node_ids)
 
 
 def result_to_geojson(result: AttackResult, g: RoadGraph) -> dict:

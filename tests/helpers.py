@@ -121,3 +121,56 @@ def some_path(g: RoadGraph, n_nodes: int, rng: np.random.Generator) -> list[str]
         if len(path) == n_nodes:
             return path
     return None
+
+
+def reference_enumerate(indptr, nbrs, lens, wr, sigma, max_count, allow_reuse, out):
+    """Plain iterative DFS with the kernel's contract, one path at a time.
+
+    From every start node in index order, a neighbor extends the path at
+    depth d only when its edge length w satisfies |w - wr[d]| <= sigma*w.
+    Complete paths are written flat into out; returns (count, truncated)
+    and stops at the first path beyond max_count. The kernel under test
+    must reproduce its output exactly.
+    """
+    n = indptr.shape[0] - 1
+    q = wr.shape[0] + 1
+    visited = np.zeros(n, dtype=np.bool_)
+    path = np.empty(q, dtype=np.int64)
+    cursor = np.empty(q, dtype=np.int64)
+    count = 0
+    for s in range(n):
+        path[0] = s
+        visited[s] = True
+        cursor[0] = indptr[s]
+        d = 0
+        while d >= 0:
+            u = path[d]
+            i = cursor[d]
+            if i < indptr[u + 1]:
+                cursor[d] = i + 1
+                v = nbrs[i]
+                if (not allow_reuse) and visited[v]:
+                    continue
+                w = lens[i]
+                diff = w - wr[d]
+                if diff < 0.0:
+                    diff = -diff
+                if diff > sigma * w:
+                    continue
+                if d == q - 2:
+                    if count >= max_count:
+                        return count, True
+                    base = count * q
+                    for j in range(q - 1):
+                        out[base + j] = path[j]
+                    out[base + q - 1] = v
+                    count += 1
+                else:
+                    d += 1
+                    path[d] = v
+                    visited[v] = True
+                    cursor[d] = indptr[v]
+            else:
+                visited[u] = False
+                d -= 1
+    return count, False

@@ -223,6 +223,25 @@ def test_attack_k_flag_beats_config(pipeline, tmp_path):
     assert len(doc["candidates"]) == 2
 
 
+@pytest.mark.parametrize(
+    "option",
+    [["--k", "0"], ["--sigma-ladder", "0.2,0.1"], ["--sigma-ladder", "abc"]],
+)
+def test_attack_rejects_bad_match_option_before_reading_input(
+    pipeline, tmp_path, capsys, option
+):
+    rc = main(
+        [
+            "attack",
+            "--log", str(pipeline / "drive.csv"),
+            "--graph", str(pipeline / "grid.json"),
+            "--out-dir", str(tmp_path / "out"), *option,
+        ]
+    )
+    assert rc == 2
+    assert "stage=parse" not in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::canmatch.errors.NoCandidates")
 @pytest.mark.filterwarnings("ignore::canmatch.errors.DegenerateClusters")
 def test_attack_on_featureless_log_exits_empty(pipeline, tmp_path):

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,11 +26,13 @@ from canmatch.matcher import (
     top_k,
 )
 from canmatch.roadnet import RoadEdge, RoadGraph, RoadNode
+from canmatch.simulate import make_synthetic_grid
 from helpers import (
     equator_node,
     line_graph,
     path_weights,
     random_graph,
+    reference_enumerate,
     some_path,
     traj_of,
     triangle_graph,
@@ -317,31 +321,96 @@ def test_geojson_lists_candidates_as_linestrings():
             assert (lon, lat) == (g.nodes[nid].lon, g.nodes[nid].lat)
 
 
-# --- kernel backends
+# --- ranking shortcut
+
+
+def _tied_graph(rng: np.random.Generator) -> RoadGraph:
+    """Random graph whose edges take one of three lengths, so thetas tie often."""
+    g = random_graph(rng, int(rng.integers(9, 40)))
+    edges = [
+        RoadEdge(e.u, e.v, float(rng.choice([100.0, 110.0, 120.0]))) for e in g.edges
+    ]
+    return RoadGraph(list(g.nodes.values()), edges)
+
+
+def test_run_attack_ranks_like_top_k_over_the_full_list():
+    rng = np.random.default_rng(59)
+    tied = truncated = 0
+    for _ in range(60):
+        g = _tied_graph(rng)
+        wr = list(rng.choice([100.0, 110.0, 120.0], size=int(rng.integers(1, 5))))
+        cfg = MatchConfig(
+            sigma_ladder=(0.05, 0.15),
+            k=int(rng.integers(1, 9)),
+            max_candidates=int(rng.choice([7, 100_000])),
+        )
+        res = run_attack(g, traj_of(wr), cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            full = escalate_and_match(g, traj_of(wr), cfg)
+        ref = top_k(full, cfg.k)
+        assert res.candidates == ref.candidates
+        # an empty list means every rung came up short, so the last one ran
+        assert res.sigma_used == (full[0].sigma_used if full else cfg.sigma_ladder[-1])
+        assert res.truncated == any(w.category is Truncated for w in caught)
+        thetas = [c.theta_m for c in res.candidates]
+        tied += len(set(thetas)) < len(thetas)
+        truncated += res.truncated
+    assert tied > 0 and truncated > 0
+
+
+# --- search kernel
 
 
 def test_backend_reports_a_known_name():
-    assert _kernels.backend() in ("numba", "python")
+    assert _kernels.backend() == "numpy"
 
 
-def test_python_and_active_backends_agree():
+@pytest.mark.parametrize("block_rows", [3, _kernels.BLOCK_ROWS])
+def test_block_kernel_matches_reference_dfs(monkeypatch, block_rows):
+    # small blocks make the kernel split and stack blocks even on small graphs
+    monkeypatch.setattr(_kernels, "BLOCK_ROWS", block_rows)
     rng = np.random.default_rng(7)
-    for _ in range(10):
+    checked = 0
+    for _ in range(20):
         g = random_graph(rng, int(rng.integers(9, 50)))
-        ids, indptr, nbrs, lens = _graph_csr(g)
+        _ids, indptr, nbrs, lens, _keys = _graph_csr(g)
         n_edges = int(rng.integers(1, 5))
-        wr = rng.uniform(50.0, 500.0, size=n_edges)
-        sigma = 0.3
+        path = some_path(g, n_edges + 1, rng)
+        if path is None:
+            continue
+        sigma = float(rng.choice([0.1, 0.3, 0.5]))
+        wr = np.array(path_weights(g, path)) * rng.uniform(0.9, 1.1, size=n_edges)
         q = n_edges + 1
-        cap = 10_000
-        out_a = np.empty(cap * q, dtype=np.int64)
-        out_b = np.empty(cap * q, dtype=np.int64)
-        got_a = _kernels.enumerate_matches(
-            indptr, nbrs, lens, wr, sigma, cap, False, out_a
-        )
-        got_b = _kernels.enumerate_matches_python(
-            indptr, nbrs, lens, wr, sigma, cap, False, out_b
-        )
-        assert got_a == got_b
-        count = got_a[0]
-        assert np.array_equal(out_a[: count * q], out_b[: count * q])
+        for reuse in (False, True):
+            args = (indptr, nbrs, lens, wr, sigma)
+            exact, _ = reference_enumerate(
+                *args, 100_000, reuse, np.empty(100_000 * q, dtype=np.int64)
+            )
+            for cap in (1, 37, exact, 100_000):
+                want_out = np.empty(cap * q, dtype=np.int64)
+                got_out = np.empty(cap * q, dtype=np.int64)
+                want = reference_enumerate(*args, cap, reuse, want_out)
+                got = _kernels.enumerate_matches(*args, cap, reuse, got_out)
+                assert got == want
+                count = want[0]
+                assert np.array_equal(got_out[: count * q], want_out[: count * q])
+                checked += count > 0
+    assert checked > 0
+
+
+def test_hostile_query_stops_at_the_cap_in_bounded_memory():
+    # 40x40 grid, 15-node query at sigma 0.5: far more than 100k paths match
+    g = make_synthetic_grid(40, 300.0, 0.1, seed=1)
+    _ids, indptr, nbrs, lens, _keys = _graph_csr(g)
+    wr = np.full(14, 300.0)
+    cap = 100_000
+    out = np.empty(cap * 15, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        got = _kernels.enumerate_matches(indptr, nbrs, lens, wr, 0.5, cap, False, out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == (100_000, True)
+    assert peak < 256 * 2**20
