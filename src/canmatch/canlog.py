@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import gzip
 import io
+import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import repeat
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -85,13 +87,14 @@ class CanLog:
         return float(t1 - t0)
 
 
-def _build_series(cls, rows: list[tuple[float, float, int]], name: str):
-    if not rows:
+def _build_series(cls, times: np.ndarray, values: np.ndarray, name: str):
+    """Order one signal's rows, given in file order, and drop repeated times."""
+    if not times.size:
         raise EmptyLog(f"no {name} rows in log")
-    # stable order: timestamp first, original file position breaks ties
-    rows.sort(key=lambda r: (r[0], r[2]))
-    times = np.array([r[0] for r in rows], dtype=np.float64)
-    values = np.array([r[1] for r in rows], dtype=np.float64)
+    # a stable sort over rows in file order breaks timestamp ties by file position
+    order = np.argsort(times, kind="stable")
+    times = times[order]
+    values = values[order]
     dup = np.nonzero(np.diff(times) == 0.0)[0]
     if dup.size:
         warnings.warn(
@@ -106,8 +109,53 @@ def _build_series(cls, rows: list[tuple[float, float, int]], name: str):
     return cls(times=times, values=values)
 
 
+def _floats(fields: list[str]) -> np.ndarray:
+    """float() of every field, accepting whatever float(field.strip()) does.
+
+    float() ignores the same padding as str.strip() except U+001F, so a
+    column that float() refuses is stripped and converted once more.
+    """
+    try:
+        return np.fromiter(map(float, fields), np.float64, len(fields))
+    except ValueError:
+        return np.fromiter(map(float, map(str.strip, fields)), np.float64, len(fields))
+
+
+def _raise_first_fault(lines: list[str]) -> NoReturn:
+    """Raise the error for the first faulty data line of a rejected log.
+
+    Runs only after bulk validation failed, so it builds no series; it
+    applies the same checks as the bulk path, line by line in file order.
+    """
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise MalformedRow(f"line {lineno}: expected 3 fields, got {len(parts)}")
+        t_str, signal, v_str = (p.strip() for p in parts)
+        try:
+            t = float(t_str)
+            v = float(v_str)
+        except ValueError:
+            raise MalformedRow(f"line {lineno}: non-numeric field") from None
+        if not (math.isfinite(t) and math.isfinite(v)):
+            raise MalformedRow(f"line {lineno}: non-finite field")
+        if signal not in SIGNALS:
+            raise UnknownSignal(f"line {lineno}: unknown signal {signal!r}")
+        if t < 0.0:
+            raise NonMonotonicTime(f"line {lineno}: negative timestamp {t}")
+        if v < 0.0:
+            raise MalformedRow(f"line {lineno}: negative {signal} value {v}")
+    raise AssertionError("bulk validation rejected a log with no faulty line")
+
+
 def parse_can_csv(raw) -> CanLog:
     """Parse CSV text, bytes, or a file object into a CanLog.
+
+    Blank lines are skipped and fields may carry surrounding whitespace.
+    The columns are converted whole; when any check fails, the error
+    names the first faulty line.
 
     Args:
         raw: str, bytes, or a readable file object holding the CSV.
@@ -117,7 +165,8 @@ def parse_can_csv(raw) -> CanLog:
 
     Raises:
         EmptyLog: header only, or one signal has no rows at all.
-        MalformedRow: wrong column count or a non-numeric field.
+        MalformedRow: wrong column count, or a non-numeric, non-finite
+            or negative value field.
         UnknownSignal: a signal other than speed/pedal.
         NonMonotonicTime: a negative timestamp.
     """
@@ -134,32 +183,33 @@ def parse_can_csv(raw) -> CanLog:
     if not lines or lines[0].strip() != HEADER:
         raise MalformedRow(f"first line must be the header {HEADER!r}")
 
-    speed_rows: list[tuple[float, float, int]] = []
-    pedal_rows: list[tuple[float, float, int]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise MalformedRow(f"line {lineno}: expected 3 fields, got {len(parts)}")
-        t_str, signal, v_str = (p.strip() for p in parts)
-        try:
-            t = float(t_str)
-            v = float(v_str)
-        except ValueError:
-            raise MalformedRow(f"line {lineno}: non-numeric field") from None
-        if signal not in SIGNALS:
-            raise UnknownSignal(f"line {lineno}: unknown signal {signal!r}")
-        if t < 0.0:
-            raise NonMonotonicTime(f"line {lineno}: negative timestamp {t}")
-        if v < 0.0:
-            raise MalformedRow(f"line {lineno}: negative {signal} value {v}")
-        (speed_rows if signal == "speed" else pedal_rows).append((t, v, lineno))
-
-    if not speed_rows and not pedal_rows:
+    rows = list(filter(str.strip, lines[1:]))
+    if not rows:
         raise EmptyLog("log has a header but no data rows")
-    speed = _build_series(SpeedSeries, speed_rows, "speed")
-    pedal = _build_series(PedalSeries, pedal_rows, "pedal")
+    # every row must split into exactly 3 fields, or the columns misalign
+    if set(map(str.count, rows, repeat(","))) != {2}:
+        _raise_first_fault(lines)
+    fields = ",".join(rows).split(",")
+    signals = fields[1::3]
+    try:
+        times = _floats(fields[0::3])
+        values = _floats(fields[2::3])
+    except ValueError:
+        _raise_first_fault(lines)
+    tokens = {tok: tok.strip() for tok in set(signals)}
+    if not (
+        set(tokens.values()) <= set(SIGNALS)
+        and np.isfinite(times).all()
+        and np.isfinite(values).all()
+        and (times >= 0.0).all()
+        and (values >= 0.0).all()
+    ):
+        _raise_first_fault(lines)
+
+    is_speed_token = {tok: sig == "speed" for tok, sig in tokens.items()}
+    is_speed = np.fromiter(map(is_speed_token.__getitem__, signals), bool, len(signals))
+    speed = _build_series(SpeedSeries, times[is_speed], values[is_speed], "speed")
+    pedal = _build_series(PedalSeries, times[~is_speed], values[~is_speed], "pedal")
     return CanLog(speed=speed, pedal=pedal)
 
 

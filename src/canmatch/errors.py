@@ -20,7 +20,7 @@ class EmptyLog(CanMatchError):
 
 
 class MalformedRow(CanMatchError):
-    """A CSV row has the wrong arity or a non-numeric field."""
+    """A CSV row has the wrong arity, or a non-numeric, non-finite or negative value."""
 
 
 class UnknownSignal(CanMatchError):

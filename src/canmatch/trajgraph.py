@@ -193,6 +193,10 @@ class _SpeedIntegrator:
             contrib[:-1] = speed.values[:-1] * KMH_TO_MS * np.diff(speed.times)
         self._cum = np.concatenate(([0.0], np.cumsum(contrib)))
 
+    def positions_m(self, times) -> np.ndarray:
+        """Meters driven before each time; a span's distance is their difference."""
+        return self._cum[np.searchsorted(self.times, times, side="left")]
+
     def distance_m(self, t_a: float, t_b: float) -> float:
         """Meters driven over [t_a, t_b); samples with t_a <= t < t_b count."""
         if t_b < t_a:
@@ -234,27 +238,22 @@ def merge_nodes(
 ) -> list[TrajectoryNode]:
     """Collapse nodes closer than the shortest road edge.
 
-    Walking consecutive pairs in time order, when the driven distance
-    between a pair falls below min_edge_m the earlier node is deleted and
-    comparison restarts at the surviving pair. Afterwards every remaining
+    In time order, a node is deleted when the driven distance to the node
+    after it falls below min_edge_m. Driven distance never decreases, so
+    the survivor before a deleted node is at least as far from that next
+    node: deletions never cascade, and walking pairs with a step back after
+    each deletion keeps the same nodes. Afterwards every remaining
     inter-node distance is >= min_edge_m.
     """
     if min_edge_m <= 0:
         raise ValueError("min_edge_m must be positive")
-    integ = _SpeedIntegrator(speed)
-    merged = sorted(nodes, key=_node_order)
+    ordered = sorted(nodes, key=_node_order)
+    pos = _SpeedIntegrator(speed).positions_m([n.event_time_s for n in ordered])
     # relative slack: a distance float-equal to the cutoff must survive
     cutoff = min_edge_m * (1.0 - _GAP_RTOL)
-    k = 0
-    while k + 1 < len(merged):
-        d = integ.distance_m(merged[k].event_time_s, merged[k + 1].event_time_s)
-        if d < cutoff:
-            del merged[k]
-            if k > 0:
-                k -= 1
-        else:
-            k += 1
-    return merged
+    keep = np.ones(len(ordered), dtype=bool)
+    keep[:-1] = ~(np.diff(pos) < cutoff)
+    return [ordered[i] for i in np.flatnonzero(keep)]
 
 
 def derive_thresholds(log: CanLog, *, pedal_idle_tol: float = 0.5) -> Thresholds:
@@ -314,18 +313,10 @@ def build_trajectory(
             branch.insert(0, TrajectoryNode(float(cands.times[0]), cands.kind))
         nodes.extend(branch)
 
-    nodes.sort(key=_node_order)
     merged = merge_nodes(nodes, log.speed, min_edge_m) if nodes else []
     if len(merged) < 2:
         raise TooFewNodes(
             f"{len(merged)} node(s) after merging; need at least 2 for one edge"
         )
-    integ = _SpeedIntegrator(log.speed)
-    weights = np.array(
-        [
-            integ.distance_m(a.event_time_s, b.event_time_s)
-            for a, b in zip(merged, merged[1:])
-        ],
-        dtype=np.float64,
-    )
-    return TrajectoryGraph(nodes=merged, edge_weights_m=weights)
+    pos = _SpeedIntegrator(log.speed).positions_m([n.event_time_s for n in merged])
+    return TrajectoryGraph(nodes=merged, edge_weights_m=np.diff(pos))

@@ -6,12 +6,28 @@ hand-computable.
 """
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 
-from canmatch.canlog import CanLog, PedalSeries, SpeedSeries
+from canmatch.canlog import HEADER, SIGNALS, CanLog, PedalSeries, SpeedSeries
+from canmatch.errors import (
+    DuplicateTimestamp,
+    EmptyLog,
+    MalformedRow,
+    NonMonotonicTime,
+    UnknownSignal,
+)
 from canmatch.geo import EARTH_RADIUS_M
 from canmatch.roadnet import RoadEdge, RoadGraph, RoadNode
-from canmatch.trajgraph import TrajectoryGraph, TrajectoryNode
+from canmatch.trajgraph import (
+    TrajectoryGraph,
+    TrajectoryNode,
+    _GAP_RTOL,
+    _node_order,
+    _SpeedIntegrator,
+)
 
 M_TO_DEG_LON = 180.0 / (np.pi * EARTH_RADIUS_M)
 
@@ -174,3 +190,86 @@ def reference_enumerate(indptr, nbrs, lens, wr, sigma, max_count, allow_reuse, o
                 visited[u] = False
                 d -= 1
     return count, False
+
+
+def reference_parse_can_csv(text: str) -> CanLog:
+    """Line-by-line parser with parse_can_csv's contract.
+
+    Each non-blank line is split, stripped, converted and checked in
+    turn, so the first faulty line raises. Each signal's rows are then
+    sorted by (time, line number). The parser under test must return an
+    equal CanLog, or raise the same error, and warn the same.
+    """
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != HEADER:
+        raise MalformedRow(f"first line must be the header {HEADER!r}")
+    rows: dict[str, list[tuple[float, float, int]]] = {name: [] for name in SIGNALS}
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise MalformedRow(f"line {lineno}: expected 3 fields, got {len(parts)}")
+        t_str, signal, v_str = (p.strip() for p in parts)
+        try:
+            t = float(t_str)
+            v = float(v_str)
+        except ValueError:
+            raise MalformedRow(f"line {lineno}: non-numeric field") from None
+        if not (math.isfinite(t) and math.isfinite(v)):
+            raise MalformedRow(f"line {lineno}: non-finite field")
+        if signal not in SIGNALS:
+            raise UnknownSignal(f"line {lineno}: unknown signal {signal!r}")
+        if t < 0.0:
+            raise NonMonotonicTime(f"line {lineno}: negative timestamp {t}")
+        if v < 0.0:
+            raise MalformedRow(f"line {lineno}: negative {signal} value {v}")
+        rows[signal].append((t, v, lineno))
+
+    if not rows["speed"] and not rows["pedal"]:
+        raise EmptyLog("log has a header but no data rows")
+    series = []
+    for cls, name in ((SpeedSeries, "speed"), (PedalSeries, "pedal")):
+        if not rows[name]:
+            raise EmptyLog(f"no {name} rows in log")
+        ordered = sorted(rows[name], key=lambda r: (r[0], r[2]))
+        times = np.array([r[0] for r in ordered], dtype=np.float64)
+        values = np.array([r[1] for r in ordered], dtype=np.float64)
+        dup = np.nonzero(np.diff(times) == 0.0)[0]
+        if dup.size:
+            warnings.warn(
+                f"{dup.size} duplicate {name} timestamp(s); keeping first occurrence",
+                DuplicateTimestamp,
+                stacklevel=2,
+            )
+            keep = np.ones(times.size, dtype=bool)
+            keep[dup + 1] = False
+            times = times[keep]
+            values = values[keep]
+        series.append(cls(times=times, values=values))
+    return CanLog(speed=series[0], pedal=series[1])
+
+
+def reference_merge_nodes(
+    nodes: list[TrajectoryNode], speed: SpeedSeries, min_edge_m: float
+) -> list[TrajectoryNode]:
+    """Pairwise merge walk with merge_nodes' contract.
+
+    Walking consecutive pairs in time order, when the driven distance
+    between a pair falls below min_edge_m the earlier node is deleted and
+    comparison steps back to the pair before it. The function under test
+    must keep the same nodes.
+    """
+    integ = _SpeedIntegrator(speed)
+    merged = sorted(nodes, key=_node_order)
+    cutoff = min_edge_m * (1.0 - _GAP_RTOL)
+    k = 0
+    while k + 1 < len(merged):
+        d = integ.distance_m(merged[k].event_time_s, merged[k + 1].event_time_s)
+        if d < cutoff:
+            del merged[k]
+            if k > 0:
+                k -= 1
+        else:
+            k += 1
+    return merged

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import gzip
+import warnings
 
 import numpy as np
 import pytest
@@ -18,12 +19,15 @@ from canmatch.canlog import (
     write_can_csv,
 )
 from canmatch.errors import (
+    CanMatchError,
     DuplicateTimestamp,
     EmptyLog,
     MalformedRow,
     NonMonotonicTime,
     UnknownSignal,
 )
+
+from helpers import reference_parse_can_csv
 
 
 def _log_text(rows: list[str]) -> str:
@@ -62,6 +66,13 @@ def test_parse_wrong_field_count():
         parse_can_csv(_log_text(["0.0,speed"]))
 
 
+def test_parse_wrong_field_count_that_realigns_across_rows():
+    # a short row and a long row together hold whole triples
+    rows = ["0.0,speed,1", "0.5", "speed,2,0.0,pedal,3"]
+    with pytest.raises(MalformedRow, match="line 3: expected 3 fields, got 1"):
+        parse_can_csv(_log_text(rows))
+
+
 def test_parse_non_numeric_field():
     with pytest.raises(MalformedRow):
         parse_can_csv(_log_text(["abc,speed,0"]))
@@ -75,6 +86,14 @@ def test_parse_negative_value():
 def test_parse_missing_signal_entirely():
     with pytest.raises(EmptyLog):
         parse_can_csv(_log_text(["0.0,speed,1", "0.1,speed,2"]))
+
+
+@pytest.mark.parametrize(
+    "row", ["nan,speed,1", "inf,speed,1", "0.5,pedal,-inf", "0.5,speed,NaN", "0.5,pedal,Infinity"]
+)
+def test_parse_rejects_non_finite_field_naming_the_line(row):
+    with pytest.raises(MalformedRow, match="line 3: non-finite"):
+        parse_can_csv(_log_text(["0.0,speed,1", row, "0.0,pedal,10"]))
 
 
 def test_parse_accepts_bytes_and_file_objects(tmp_path):
@@ -166,3 +185,107 @@ def test_series_stats_single_sample_rate_undefined():
 def test_duration_property():
     log = parse_can_csv(_log_text(["1.0,speed,1", "4.5,speed,2", "1.0,pedal,10"]))
     assert log.duration_s == pytest.approx(3.5)
+
+
+_PADS = ("", "", " ", "  ", "\t", " \t", "\x1f")
+_NON_FINITE = ("nan", "NaN", "inf", "-inf", "+inf", "Infinity", "-Infinity")
+_FAULTS = (
+    None,
+    "field_count",
+    "non_numeric",
+    "unknown_signal",
+    "negative_time",
+    "negative_value",
+    "non_finite",
+)
+
+
+def _literal(rng, x: float) -> str:
+    """A literal float() reads: repr, fixed, exponent, or underscored integer."""
+    form = int(rng.integers(4))
+    if form == 0:
+        return repr(x)
+    if form == 1:
+        return f"{x:.1f}"
+    if form == 2:
+        return f"{x:.3e}"
+    i = int(x)
+    return f"{i // 10}_{i % 10}" if i >= 10 else str(i)
+
+
+def _random_log(rng, fault):
+    """CSV text with interleaved, shuffled, padded rows; duplicate times,
+    blank lines, mixed LF/CRLF endings, and at most one faulty line.
+
+    Returns (text, line number of the faulty line or None).
+    """
+    pick = lambda seq: seq[int(rng.integers(len(seq)))]
+    pad = lambda s: pick(_PADS) + s + pick(_PADS)
+    fields = []
+    for name in ("speed", "pedal"):
+        n = int(rng.integers(0 if rng.random() < 0.05 else 1, 40))
+        for _ in range(n):
+            t = int(rng.integers(0, 3 * n)) * 0.1  # a coarse grid repeats times
+            v = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 120.0))
+            fields.append([_literal(rng, t), name, _literal(rng, v)])
+    rng.shuffle(fields)
+    bad = None
+    if fault is not None and fields:
+        bad = int(rng.integers(len(fields)))
+        row = fields[bad]
+        col = 0 if rng.random() < 0.5 else 2
+        if fault == "field_count":
+            row[:] = row[:2] if rng.random() < 0.5 else row + ["1"]
+        elif fault == "non_numeric":
+            row[col] = pick(("abc", "1.2.3", "", "0x10", "1__0"))
+        elif fault == "unknown_signal":
+            row[1] = pick(("throttle", "Speed", "", "spe ed"))
+        elif fault == "negative_time":
+            row[0] = f"-{float(row[0].replace('_', '')) + 0.5!r}"
+        elif fault == "negative_value":
+            row[2] = f"-{float(row[2].replace('_', '')) + 0.5!r}"
+        else:
+            row[col] = pick(_NON_FINITE)
+    lines = [pad(HEADER)]
+    bad_lineno = None
+    for i, row in enumerate(fields):
+        while rng.random() < 0.1:
+            lines.append(pick(("", " ", "\t")))
+        lines.append(",".join(pad(f) for f in row))
+        if i == bad:
+            bad_lineno = len(lines)
+    text = "".join(line + pick(("\n", "\r\n")) for line in lines)
+    if rng.random() < 0.2:
+        text = text.rstrip("\r\n")
+    return text, bad_lineno
+
+
+def _outcome(parse, text):
+    """What a parser made of text: its log bytes or its error, and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            log = parse(text)
+        except CanMatchError as exc:
+            result = (type(exc), str(exc))
+        else:
+            result = tuple(
+                a.tobytes()
+                for a in (log.speed.times, log.speed.values, log.pedal.times, log.pedal.values)
+            )
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def test_parse_matches_line_by_line_reference():
+    rng = np.random.default_rng(2024)
+    named_faults = 0
+    for case in range(700):
+        fault = _FAULTS[case % len(_FAULTS)]
+        text, bad_lineno = _random_log(rng, fault)
+        got = _outcome(parse_can_csv, text)
+        assert got == _outcome(reference_parse_can_csv, text), (case, text)
+        if bad_lineno is not None:
+            kind, message = got[0]
+            assert message.startswith(f"line {bad_lineno}: "), (case, message)
+            named_faults += 1
+    assert named_faults >= 550

@@ -242,6 +242,23 @@ def test_attack_rejects_bad_match_option_before_reading_input(
     assert "stage=parse" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+def test_attack_on_non_finite_log_exits_input_error(pipeline, tmp_path, capsys, field):
+    lines = (pipeline / "drive.csv").read_text().splitlines()
+    lines[7] = f"{lines[7].split(',')[0]},speed,{field}"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = main(
+        [
+            "attack", "--log", str(bad),
+            "--graph", str(pipeline / "grid.json"),
+            "--out-dir", str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 2
+    assert "line 8: non-finite field" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::canmatch.errors.NoCandidates")
 @pytest.mark.filterwarnings("ignore::canmatch.errors.DegenerateClusters")
 def test_attack_on_featureless_log_exits_empty(pipeline, tmp_path):

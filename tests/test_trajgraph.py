@@ -12,6 +12,7 @@ from canmatch.errors import (
     NoCandidates,
     TooFewNodes,
 )
+from canmatch.simulate import DriveProfile, make_synthetic_grid, sample_route, synthesize_can
 from canmatch.trajgraph import (
     EdgeSpan,
     TrajectoryGraph,
@@ -24,9 +25,10 @@ from canmatch.trajgraph import (
     gap_series,
     merge_nodes,
     segment_distance,
+    _SpeedIntegrator,
 )
 
-from helpers import constant_speed_log
+from helpers import constant_speed_log, reference_merge_nodes
 
 
 def _speed(times, values) -> SpeedSeries:
@@ -247,6 +249,61 @@ def test_merge_postcondition_random():
         for a, b in zip(merged, merged[1:]):
             d = segment_distance(series, EdgeSpan(a.event_time_s, b.event_time_s))
             assert d >= min_edge * (1 - 1e-9)
+
+
+def _flood_drive(rng):
+    """Speed series with stops and slow stretches, plus a node at every
+    sample of them (up to about 900), as gap-walk extraction produces, and
+    a few co-timed stop/turn pairs and off-grid node times, shuffled."""
+    n = int(rng.integers(400, 2500))
+    times = np.arange(n) * float(rng.choice([0.1, 0.5, 1.0]))
+    speeds = rng.uniform(20.0, 60.0, size=n)
+    nodes = []
+    for _ in range(int(rng.integers(2, 12))):
+        a = int(rng.integers(n - 1))
+        b = min(n - 1, a + int(rng.integers(5, 150)))
+        kind = "stop" if rng.random() < 0.5 else "turn"
+        speeds[a:b] = 0.0 if kind == "stop" else rng.uniform(0.0, 8.0)
+        nodes += [TrajectoryNode(float(t), kind) for t in times[a:b]]
+    for t in rng.choice(times, size=int(rng.integers(0, 20))):
+        nodes += [TrajectoryNode(float(t), "stop"), TrajectoryNode(float(t), "turn")]
+    for t in rng.uniform(times[0], times[-1], size=int(rng.integers(0, 20))):
+        nodes.append(TrajectoryNode(float(t), "turn"))
+    nodes = list({(nd.event_time_s, nd.kind): nd for nd in nodes}.values())
+    rng.shuffle(nodes)
+    return _speed(times, speeds), nodes
+
+
+def test_merge_matches_pairwise_reference():
+    rng = np.random.default_rng(57)
+    for _ in range(60):
+        series, nodes = _flood_drive(rng)
+        integ = _SpeedIntegrator(series)
+        if rng.random() < 0.5:
+            min_edge = float(rng.uniform(1.0, 150.0))
+        else:  # a cutoff float-equal to the distance between two near nodes
+            ts = sorted(nd.event_time_s for nd in nodes)
+            a = int(rng.integers(len(ts) - 1))
+            b = min(len(ts) - 1, a + int(rng.integers(1, 4)))
+            min_edge = integ.distance_m(ts[a], ts[b]) or 1.0
+        assert merge_nodes(nodes, series, min_edge) == reference_merge_nodes(
+            nodes, series, min_edge
+        )
+
+
+def test_build_weights_equal_pairwise_distances_bit_for_bit():
+    for seed in range(12):
+        g = make_synthetic_grid(6, 300.0, 0.1, seed=seed)
+        gt = sample_route(g, 6, seed=seed)
+        profile = DriveProfile(
+            speed_noise_std=0.2 * (seed % 2), stop_offset_m=10.0 * (seed % 3), seed=seed
+        )
+        log = synthesize_can(gt, g, profile).log
+        traj = build_trajectory(log, g.min_edge_length_m)
+        integ = _SpeedIntegrator(log.speed)
+        pairs = zip(traj.nodes, traj.nodes[1:])
+        expected = [integ.distance_m(a.event_time_s, b.event_time_s) for a, b in pairs]
+        assert traj.edge_weights_m.tobytes() == np.array(expected).tobytes()
 
 
 def test_merge_requires_positive_cutoff():
