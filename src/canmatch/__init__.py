@@ -4,84 +4,46 @@ Pipeline: parse a speed/pedal CSV (canlog), reconstruct the drive as a
 weighted line graph (trajgraph), enumerate matching paths on a road
 network (roadnet, matcher), and score candidates against a known route
 (metrics). The simulate module closes the loop with synthetic drives.
+The stage internals stay importable from their modules.
 """
 
-from .canlog import CanLog, CanSample, PedalSeries, SpeedSeries, parse_can_csv, read_can_csv, series_stats, to_csv, write_can_csv
+from .canlog import CanLog, parse_can_csv, read_can_csv, write_can_csv
 from .matcher import (
     AttackResult,
     CandidatePath,
     MatchConfig,
     brute_force_match,
-    escalate_and_match,
     match_paths,
     result_from_dict,
     result_to_geojson,
     run_attack,
-    theta,
-    top_k,
 )
-from .metrics import EvalReport, GroundTruth, distance_offset, evaluate, false_negative_rate, precision, success_rate
-from .roadnet import RoadEdge, RoadGraph, RoadNode, bbox_filter, load_graph, parse_osm_xml, read_osm_xml, save_graph
-from .simulate import DriveProfile, SimScenario, make_synthetic_grid, sample_route, synthesize_can, with_seed
-from .trajgraph import (
-    CandidateSet,
-    EdgeSpan,
-    GapSeries,
-    Thresholds,
-    TrajectoryGraph,
-    TrajectoryNode,
-    build_trajectory,
-    candidate_points,
-    compute_threshold,
-    derive_thresholds,
-    extract_nodes,
-    gap_series,
-    merge_nodes,
-    segment_distance,
-)
+from .metrics import EvalReport, GroundTruth, evaluate
+from .roadnet import RoadGraph, bbox_filter, load_graph, read_osm_xml, save_graph
+from .simulate import DriveProfile, SimScenario, make_synthetic_grid, sample_route, synthesize_can
+from .trajgraph import TrajectoryGraph, build_trajectory
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AttackResult",
     "CanLog",
-    "CanSample",
     "CandidatePath",
-    "CandidateSet",
     "DriveProfile",
-    "EdgeSpan",
     "EvalReport",
-    "GapSeries",
     "GroundTruth",
     "MatchConfig",
-    "PedalSeries",
-    "RoadEdge",
     "RoadGraph",
-    "RoadNode",
     "SimScenario",
-    "SpeedSeries",
-    "Thresholds",
     "TrajectoryGraph",
-    "TrajectoryNode",
     "bbox_filter",
     "brute_force_match",
     "build_trajectory",
-    "candidate_points",
-    "compute_threshold",
-    "derive_thresholds",
-    "distance_offset",
-    "escalate_and_match",
     "evaluate",
-    "extract_nodes",
-    "false_negative_rate",
-    "gap_series",
     "load_graph",
     "make_synthetic_grid",
     "match_paths",
-    "merge_nodes",
     "parse_can_csv",
-    "parse_osm_xml",
-    "precision",
     "read_can_csv",
     "read_osm_xml",
     "result_from_dict",
@@ -89,13 +51,6 @@ __all__ = [
     "run_attack",
     "sample_route",
     "save_graph",
-    "segment_distance",
-    "series_stats",
-    "success_rate",
     "synthesize_can",
-    "with_seed",
-    "theta",
-    "to_csv",
-    "top_k",
     "write_can_csv",
 ]

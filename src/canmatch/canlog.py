@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
-from typing import NamedTuple, NoReturn
+from typing import NoReturn
 
 import numpy as np
 
@@ -28,11 +28,6 @@ from .errors import (
 
 HEADER = "time_s,signal,value"
 SIGNALS = ("speed", "pedal")
-
-
-class CanSample(NamedTuple):
-    time_s: float
-    value: float
 
 
 @dataclass(frozen=True)
@@ -49,10 +44,6 @@ class _Series:
     @property
     def count(self) -> int:
         return int(self.times.size)
-
-    @property
-    def samples(self) -> list[CanSample]:
-        return [CanSample(float(t), float(v)) for t, v in zip(self.times, self.values)]
 
     def __eq__(self, other):
         if not isinstance(other, _Series):

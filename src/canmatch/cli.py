@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -280,21 +282,15 @@ def _trial_seed(master: int, *parts: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _sweep_trial(task: tuple) -> tuple:
+def _sweep_trial(
+    master: int,
+    spacing_m: float,
+    grid_jitter: float,
+    profile: simulate.DriveProfile,
+    task: tuple,
+) -> tuple:
     """One (cell, trial) run; module-level so worker processes can pick it up."""
-    (
-        idx,
-        side_km,
-        q,
-        k,
-        trial,
-        master,
-        spacing_m,
-        grid_jitter,
-        profile_dict,
-        ladder,
-        max_candidates,
-    ) = task
+    idx, side_km, q, trial, mcfg = task
     si = int(round(side_km * 1000))
     grid_n = max(2, int(round(side_km * 1000.0 / spacing_m)) + 1)
     g = simulate.make_synthetic_grid(
@@ -305,14 +301,9 @@ def _sweep_trial(task: tuple) -> tuple:
     )
     try:
         gt = simulate.sample_route(g, q, seed=_trial_seed(master, si, q, trial, 2))
-        profile = simulate.DriveProfile(
-            **{**profile_dict, "seed": _trial_seed(master, si, q, trial, 3)}
-        )
+        profile = replace(profile, seed=_trial_seed(master, si, q, trial, 3))
         scenario = simulate.synthesize_can(gt, g, profile)
         traj = trajgraph.build_trajectory(scenario.log, g.min_edge_length_m)
-        mcfg = matcher.MatchConfig(
-            sigma_ladder=ladder, k=k, max_candidates=max_candidates
-        )
         result = matcher.run_attack(g, traj, mcfg)
         report = metrics.evaluate(result, gt, g)
     except _EMPTY_ERRORS:
@@ -339,45 +330,21 @@ def cmd_sweep(args) -> int:
     spacing = float(_setting(args, config, "spacing-m", 300.0))
     grid_jitter = float(_setting(args, config, "grid-jitter", 0.1))
     profile = _profile_from(args, config)
-    profile_dict = {
-        "cruise_speed_mps": profile.cruise_speed_mps,
-        "sample_period_s": profile.sample_period_s,
-        "stop_dwell_s": profile.stop_dwell_s,
-        "turn_slowdown": profile.turn_slowdown,
-        "turn_window_s": profile.turn_window_s,
-        "pedal_idle": profile.pedal_idle,
-        "pedal_cruise": profile.pedal_cruise,
-        "speed_noise_std": profile.speed_noise_std,
-        "stop_offset_m": profile.stop_offset_m,
-        "event_pattern": profile.event_pattern,
-    }
     mcfg = _match_config_from(args, config)
 
-    tasks = []
     cells = [(s, q, k) for s in sides for q in qs for k in ks]
-    for ci, (side_km, q, k) in enumerate(cells):
-        for trial in range(trials):
-            tasks.append(
-                (
-                    ci * trials + trial,
-                    side_km,
-                    q,
-                    k,
-                    trial,
-                    master,
-                    spacing,
-                    grid_jitter,
-                    profile_dict,
-                    mcfg.sigma_ladder,
-                    mcfg.max_candidates,
-                )
-            )
+    tasks = [
+        (ci * trials + trial, side_km, q, trial, replace(mcfg, k=k))
+        for ci, (side_km, q, k) in enumerate(cells)
+        for trial in range(trials)
+    ]
+    run_trial = functools.partial(_sweep_trial, master, spacing, grid_jitter, profile)
     t0 = time.monotonic()
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_trial, tasks, chunksize=1))
+            rows = list(pool.map(run_trial, tasks, chunksize=1))
     else:
-        rows = [_sweep_trial(t) for t in tasks]
+        rows = [run_trial(t) for t in tasks]
     rows.sort(key=lambda r: r[0])
 
     lines = [

@@ -46,7 +46,8 @@ class DanglingNodeRef(CanMatchError):
 
 
 class SchemaMismatch(CanMatchError):
-    """A serialized graph is missing required keys or is truncated."""
+    """A graph is missing required keys, is truncated, or holds a non-finite
+    coordinate or a non-finite or non-positive edge length."""
 
 
 class VersionUnsupported(CanMatchError):
@@ -73,10 +74,6 @@ class TrajectoryTooShort(CanMatchError):
     """The trajectory has no edges to match."""
 
 
-class LengthMismatch(CanMatchError):
-    """Two weight or node sequences that must align have different lengths."""
-
-
 class OracleTooLarge(CanMatchError):
     """The graph exceeds what the exhaustive reference matcher will accept."""
 
@@ -95,10 +92,6 @@ class DegenerateClusters(UserWarning):
 
 class NoCandidates(UserWarning):
     """A signal produced no candidate points."""
-
-
-class EmptySpan(UserWarning):
-    """A time span contains no samples; its distance is zero."""
 
 
 class Truncated(UserWarning):

@@ -16,12 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .errors import (
-    LengthMismatch,
-    OracleTooLarge,
-    TrajectoryTooShort,
-    Truncated,
-)
+from .errors import OracleTooLarge, TrajectoryTooShort, Truncated
 from .roadnet import RoadGraph
 from .trajgraph import TrajectoryGraph
 
@@ -165,17 +160,6 @@ def _edge_weights(traj) -> np.ndarray:
     return wr
 
 
-def theta(traj, cand: CandidatePath) -> float:
-    """Mean absolute weight deviation per edge between trajectory and path."""
-    wr = _edge_weights(traj)
-    lens = np.asarray(cand.edge_lengths_m, dtype=np.float64)
-    if lens.size != wr.size:
-        raise LengthMismatch(
-            f"candidate has {lens.size} edges, trajectory has {wr.size}"
-        )
-    return float(np.abs(wr - lens).sum() / wr.size)
-
-
 def _dedup_orientations(paths: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """Rows to keep: one per undirected path, its best-aligned orientation.
 
@@ -283,33 +267,6 @@ def match_paths(
     return rung.candidates()
 
 
-def _escalate(g: RoadGraph, traj, config: MatchConfig) -> _Rung:
-    for sigma in config.sigma_ladder:
-        rung = _match_info(
-            g, traj, sigma, config.max_candidates, config.allow_node_reuse
-        )
-        if len(rung.thetas) >= config.k:
-            break
-    return rung
-
-
-def escalate_and_match(g: RoadGraph, traj, config: MatchConfig) -> list[CandidatePath]:
-    """Climb the sigma ladder until at least k candidates appear.
-
-    Stops at the first rung yielding >= k candidates; if the ladder is
-    exhausted, returns whatever the largest sigma produced (possibly
-    nothing). Every candidate is tagged with the sigma that admitted it.
-    """
-    rung = _escalate(g, traj, config)
-    if rung.truncated:
-        warnings.warn(
-            f"enumeration stopped at {config.max_candidates} paths",
-            Truncated,
-            stacklevel=2,
-        )
-    return rung.candidates()
-
-
 def top_k(
     cands: list[CandidatePath],
     k: int,
@@ -331,12 +288,20 @@ def top_k(
 
 
 def run_attack(g: RoadGraph, traj: TrajectoryGraph, config: MatchConfig) -> AttackResult:
-    """Escalate, rank, and package: the full matching pipeline.
+    """Climb the sigma ladder, rank, and package: the full matching pipeline.
 
+    Stops at the first rung yielding >= k candidates; if the ladder is
+    exhausted, ranks whatever the largest sigma produced (possibly
+    nothing). Every candidate is tagged with the sigma that admitted it.
     Only the k best rows become CandidatePath objects: a stable sort by
     theta over rows in node-id order picks what top_k would.
     """
-    rung = _escalate(g, traj, config)
+    for sigma in config.sigma_ladder:
+        rung = _match_info(
+            g, traj, sigma, config.max_candidates, config.allow_node_reuse
+        )
+        if len(rung.thetas) >= config.k:
+            break
     best = np.argsort(rung.thetas, kind="stable")[: config.k]
     result = top_k(rung.candidates(best), config.k, trajectory=traj, config=config)
     result.sigma_used = rung.sigma

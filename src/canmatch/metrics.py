@@ -13,7 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .errors import EmptyResult, LengthMismatch, PairingTruncated
+from .errors import EmptyResult, PairingTruncated
 from .geo import haversine_m
 
 
@@ -153,10 +153,17 @@ def evaluate(result, gt: GroundTruth, g) -> EvalReport:
         return EvalReport(psi=psi, precision=None, offset_m=None, fnr=None, per_candidate=[])
     gt_set = set(gt.node_ids)
     per = []
+    correct_total = missed_total = 0
+    distance_total = 0.0
+    # the totals accumulate in the standalone metrics' order, so the
+    # report carries their exact values
     for ids in cands:
         correct = len(set(ids) & gt_set)
         missed = len(gt_set - set(ids))
         d, n = _pair_distance_m(gt.node_ids, ids, g)
+        correct_total += correct
+        missed_total += missed
+        distance_total += d
         per.append(
             {
                 "correct_count": correct,
@@ -164,10 +171,11 @@ def evaluate(result, gt: GroundTruth, g) -> EvalReport:
                 "mean_pair_distance_m": d / n if n else None,
             }
         )
+    scale = len(cands) * gt.q_star
     return EvalReport(
         psi=psi,
-        precision=precision(result, gt),
-        offset_m=distance_offset(result, gt, g),
-        fnr=false_negative_rate(result, gt),
+        precision=correct_total / scale,
+        offset_m=distance_total / scale,
+        fnr=missed_total / scale,
         per_candidate=per,
     )

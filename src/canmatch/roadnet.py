@@ -7,6 +7,7 @@ carry the driven length in meters of the underlying way polyline.
 from __future__ import annotations
 
 import json
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
@@ -64,19 +65,23 @@ class RoadGraph:
     """Immutable undirected graph with haversine edge lengths.
 
     Parallel edges between the same endpoints are collapsed to the
-    shortest; self loops are dropped.
+    shortest; self loops are dropped. A non-finite coordinate or a
+    non-finite or non-positive edge length raises SchemaMismatch.
     """
 
     def __init__(self, nodes: list[RoadNode], edges: list[RoadEdge]):
         self.nodes: dict[str, RoadNode] = {n.id: n for n in nodes}
+        for n in nodes:
+            if not (math.isfinite(n.lat) and math.isfinite(n.lon)):
+                raise SchemaMismatch(f"node {n.id} has a non-finite coordinate")
         best: dict[tuple[str, str], RoadEdge] = {}
         for e in edges:
             if e.u == e.v:
                 continue
             if e.u not in self.nodes or e.v not in self.nodes:
                 raise DanglingNodeRef(f"edge {e.u}-{e.v} references an unknown node")
-            if e.length_m <= 0:
-                raise ValueError(f"edge {e.u}-{e.v} has non-positive length")
+            if not 0 < e.length_m < math.inf:
+                raise SchemaMismatch(f"edge {e.u}-{e.v} has length {e.length_m}")
             k = e.key()
             if k not in best or e.length_m < best[k].length_m:
                 best[k] = e

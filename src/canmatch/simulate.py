@@ -9,7 +9,7 @@ speed noise. Logs start mid-edge with the vehicle already moving.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -284,8 +284,3 @@ def synthesize_can(gt: GroundTruth, g: RoadGraph, profile: DriveProfile) -> SimS
         pedal=PedalSeries(times=times.copy(), values=pedals),
     )
     return SimScenario(ground_truth=gt, profile=profile, log=log)
-
-
-def with_seed(profile: DriveProfile, seed: int) -> DriveProfile:
-    """Copy of a profile with a different RNG seed."""
-    return replace(profile, seed=seed)

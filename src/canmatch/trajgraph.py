@@ -13,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canlog import CanLog, PedalSeries, SpeedSeries
-from .errors import (
-    DegenerateClusters,
-    EmptySpan,
-    InsufficientData,
-    NoCandidates,
-    TooFewNodes,
-)
+from .errors import DegenerateClusters, InsufficientData, NoCandidates, TooFewNodes
 
 KIND_STOP = "stop"
 KIND_TURN = "turn"
@@ -47,29 +41,6 @@ class CandidateSet:
     @property
     def count(self) -> int:
         return int(self.times.size)
-
-
-@dataclass(frozen=True)
-class GapSeries:
-    gaps: np.ndarray
-
-
-@dataclass(frozen=True)
-class Thresholds:
-    """Per-branch clustering thresholds; None where a branch was skipped."""
-
-    delta_stop_s: float | None
-    delta_turn_s: float | None
-
-
-@dataclass(frozen=True)
-class EdgeSpan:
-    t_a: float
-    t_b: float
-
-    def __post_init__(self):
-        if not self.t_a < self.t_b:
-            raise ValueError(f"span must have t_a < t_b, got [{self.t_a}, {self.t_b})")
 
 
 @dataclass
@@ -117,7 +88,7 @@ def candidate_points(series, *, pedal_idle_tol: float = 0.5) -> CandidateSet:
     return CandidateSet(times=times, kind=kind)
 
 
-def gap_series(cands: CandidateSet) -> GapSeries:
+def gap_series(cands: CandidateSet) -> np.ndarray:
     """Time differences between consecutive candidates.
 
     Raises:
@@ -125,7 +96,7 @@ def gap_series(cands: CandidateSet) -> GapSeries:
     """
     if cands.count < 2:
         raise InsufficientData(f"need at least 2 candidates, got {cands.count}")
-    return GapSeries(gaps=np.diff(cands.times))
+    return np.diff(cands.times)
 
 
 def compute_threshold(gaps) -> float:
@@ -142,8 +113,6 @@ def compute_threshold(gaps) -> float:
     Raises:
         InsufficientData: fewer than 2 gaps.
     """
-    if isinstance(gaps, GapSeries):
-        gaps = gaps.gaps
     gaps = np.asarray(gaps, dtype=np.float64)
     if gaps.size < 2:
         raise InsufficientData(f"need at least 2 gaps, got {gaps.size}")
@@ -179,48 +148,18 @@ def extract_nodes(cands: CandidateSet, delta: float) -> list[TrajectoryNode]:
     return [TrajectoryNode(float(ts), cands.kind) for ts in t[1:][fire]]
 
 
-class _SpeedIntegrator:
-    """Cumulative rectangle sums over a speed series for fast span queries.
+def positions_m(speed: SpeedSeries, times) -> np.ndarray:
+    """Meters driven before each time; a span's distance is their difference.
 
-    Sample l contributes value_l/3.6 * (t_{l+1} - t_l) meters; the final
-    sample, having no successor, contributes nothing.
+    Rectangle method: sample l contributes value_l/3.6 * (t_{l+1} - t_l)
+    meters, so the span [t_a, t_b) counts the samples with t_a <= t < t_b.
+    The final sample, having no successor, contributes nothing.
     """
-
-    def __init__(self, speed: SpeedSeries):
-        self.times = speed.times
-        contrib = np.zeros(speed.count, dtype=np.float64)
-        if speed.count > 1:
-            contrib[:-1] = speed.values[:-1] * KMH_TO_MS * np.diff(speed.times)
-        self._cum = np.concatenate(([0.0], np.cumsum(contrib)))
-
-    def positions_m(self, times) -> np.ndarray:
-        """Meters driven before each time; a span's distance is their difference."""
-        return self._cum[np.searchsorted(self.times, times, side="left")]
-
-    def distance_m(self, t_a: float, t_b: float) -> float:
-        """Meters driven over [t_a, t_b); samples with t_a <= t < t_b count."""
-        if t_b < t_a:
-            raise ValueError("span end precedes start")
-        ia = int(np.searchsorted(self.times, t_a, side="left"))
-        ib = int(np.searchsorted(self.times, t_b, side="left"))
-        return float(self._cum[ib] - self._cum[ia])
-
-
-def segment_distance(speed: SpeedSeries, span: EdgeSpan) -> float:
-    """Driven distance in meters over a time span.
-
-    Rectangle method: every speed sample inside [t_a, t_b) contributes its
-    value (converted km/h to m/s) times the duration to the next sample.
-    """
-    integ = _SpeedIntegrator(speed)
-    ia = int(np.searchsorted(speed.times, span.t_a, side="left"))
-    ib = int(np.searchsorted(speed.times, span.t_b, side="left"))
-    if ia == ib:
-        warnings.warn(
-            f"no speed samples in [{span.t_a}, {span.t_b})", EmptySpan, stacklevel=2
-        )
-        return 0.0
-    return integ.distance_m(span.t_a, span.t_b)
+    contrib = np.zeros(speed.count, dtype=np.float64)
+    if speed.count > 1:
+        contrib[:-1] = speed.values[:-1] * KMH_TO_MS * np.diff(speed.times)
+    cum = np.concatenate(([0.0], np.cumsum(contrib)))
+    return cum[np.searchsorted(speed.times, times, side="left")]
 
 
 def _node_order(n: TrajectoryNode) -> tuple[float, int]:
@@ -248,26 +187,12 @@ def merge_nodes(
     if min_edge_m <= 0:
         raise ValueError("min_edge_m must be positive")
     ordered = sorted(nodes, key=_node_order)
-    pos = _SpeedIntegrator(speed).positions_m([n.event_time_s for n in ordered])
+    pos = positions_m(speed, [n.event_time_s for n in ordered])
     # relative slack: a distance float-equal to the cutoff must survive
     cutoff = min_edge_m * (1.0 - _GAP_RTOL)
     keep = np.ones(len(ordered), dtype=bool)
     keep[:-1] = ~(np.diff(pos) < cutoff)
     return [ordered[i] for i in np.flatnonzero(keep)]
-
-
-def derive_thresholds(log: CanLog, *, pedal_idle_tol: float = 0.5) -> Thresholds:
-    """Clustering thresholds for both branches; None where underpopulated."""
-    deltas = {}
-    for series in (log.speed, log.pedal):
-        cands = candidate_points(series, pedal_idle_tol=pedal_idle_tol)
-        try:
-            deltas[cands.kind] = compute_threshold(gap_series(cands))
-        except InsufficientData:
-            deltas[cands.kind] = None
-    return Thresholds(
-        delta_stop_s=deltas[KIND_STOP], delta_turn_s=deltas[KIND_TURN]
-    )
 
 
 def build_trajectory(
@@ -318,5 +243,5 @@ def build_trajectory(
         raise TooFewNodes(
             f"{len(merged)} node(s) after merging; need at least 2 for one edge"
         )
-    pos = _SpeedIntegrator(log.speed).positions_m([n.event_time_s for n in merged])
+    pos = positions_m(log.speed, [n.event_time_s for n in merged])
     return TrajectoryGraph(nodes=merged, edge_weights_m=np.diff(pos))

@@ -26,7 +26,7 @@ from canmatch.trajgraph import (
     TrajectoryNode,
     _GAP_RTOL,
     _node_order,
-    _SpeedIntegrator,
+    positions_m,
 )
 
 M_TO_DEG_LON = 180.0 / (np.pi * EARTH_RADIUS_M)
@@ -257,17 +257,18 @@ def reference_merge_nodes(
 
     Walking consecutive pairs in time order, when the driven distance
     between a pair falls below min_edge_m the earlier node is deleted and
-    comparison steps back to the pair before it. The function under test
-    must keep the same nodes.
+    comparison steps back to the pair before it. Distances are differences
+    of positions_m, so this pins the walk, not the integral. The function
+    under test must keep the same nodes.
     """
-    integ = _SpeedIntegrator(speed)
     merged = sorted(nodes, key=_node_order)
+    pos = positions_m(speed, [n.event_time_s for n in merged]).tolist()
     cutoff = min_edge_m * (1.0 - _GAP_RTOL)
     k = 0
     while k + 1 < len(merged):
-        d = integ.distance_m(merged[k].event_time_s, merged[k + 1].event_time_s)
-        if d < cutoff:
+        if pos[k + 1] - pos[k] < cutoff:
             del merged[k]
+            del pos[k]
             if k > 0:
                 k -= 1
         else:

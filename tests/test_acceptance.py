@@ -35,14 +35,8 @@ from canmatch.simulate import (
     make_synthetic_grid,
     sample_route,
     synthesize_can,
-    with_seed,
 )
-from canmatch.trajgraph import (
-    EdgeSpan,
-    build_trajectory,
-    compute_threshold,
-    segment_distance,
-)
+from canmatch.trajgraph import build_trajectory, compute_threshold, positions_m
 from helpers import path_weights, random_graph, some_path, traj_of
 
 
@@ -89,7 +83,7 @@ def _closed_loop_trial(master: int, i: int, noise_std: float):
     g = make_synthetic_grid(10, 300.0, 0.10, seed=int(ss[0]))
     q = (5, 10, 15)[i % 3]
     gt = sample_route(g, q, seed=int(ss[1]))
-    prof = with_seed(DriveProfile(speed_noise_std=noise_std), int(ss[2]))
+    prof = DriveProfile(speed_noise_std=noise_std, seed=int(ss[2]))
     scen = synthesize_can(gt, g, prof)
     traj = build_trajectory(scen.log, g.min_edge_length_m)
     res = run_attack(g, traj, MatchConfig(k=1))
@@ -141,8 +135,8 @@ def test_piecewise_constant_distance_is_analytically_exact():
             i, j = sorted(rng.choice(times.size, size=2, replace=False))
             spans.append((float(times[i]), float(times[j])))
         for a, b in spans:
-            got = segment_distance(series, EdgeSpan(a, b))
-            assert got == pytest.approx(analytic(a, b), rel=1e-9, abs=1e-9)
+            pos_a, pos_b = positions_m(series, [a, b])
+            assert pos_b - pos_a == pytest.approx(analytic(a, b), rel=1e-9, abs=1e-9)
 
 
 # --- 5: gap clustering always lands in the support gap
@@ -259,7 +253,7 @@ def _trend_trial_psi(master: int, side_km: float, q: int) -> list[float]:
             gt = sample_route(g, q, seed=int(ss[1]))
         except NoSuchPath:
             continue
-        prof = with_seed(DriveProfile(stop_offset_m=20.0), int(ss[2]))
+        prof = DriveProfile(stop_offset_m=20.0, seed=int(ss[2]))
         scen = synthesize_can(gt, g, prof)
         try:
             traj = build_trajectory(scen.log, g.min_edge_length_m)

@@ -1,10 +1,14 @@
 """End-to-end tests driving the CLI entry point in-process."""
 from __future__ import annotations
 
+import importlib.util
 import json
+import math
+from pathlib import Path
 
 import pytest
 
+from canmatch import matcher
 from canmatch.canlog import read_can_csv, write_can_csv
 from canmatch.cli import main
 from canmatch.metrics import GroundTruth
@@ -259,6 +263,70 @@ def test_attack_on_non_finite_log_exits_input_error(pipeline, tmp_path, capsys, 
     assert "line 8: non-finite field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["attack", "evaluate", "simulate"])
+@pytest.mark.parametrize(
+    "part, field, value",
+    [
+        ("edges", "length_m", math.nan),
+        ("edges", "length_m", math.inf),
+        ("edges", "length_m", -5.0),
+        ("nodes", "lat", math.nan),
+    ],
+)
+def test_non_finite_or_non_positive_graph_exits_input_error(
+    pipeline, tmp_path, capsys, command, part, field, value
+):
+    doc = json.loads((pipeline / "grid.json").read_text())
+    doc[part][3][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = {
+        "attack": ["--log", str(pipeline / "drive.csv"), "--out-dir", str(tmp_path / "out")],
+        "evaluate": [
+            "--result", str(pipeline / "attack" / "result.json"),
+            "--truth", str(pipeline / "truth.json"),
+            "--out", str(tmp_path / "report.json"),
+        ],
+        "simulate": [
+            "--out-log", str(tmp_path / "d.csv"), "--out-truth", str(tmp_path / "t.json"),
+        ],
+    }[command]
+    assert main([command, "--graph", str(bad), *argv]) == 2
+    assert "kind=SchemaMismatch" in capsys.readouterr().err
+
+
+def _load_tracing():
+    path = Path(__file__).resolve().parent.parent / "pipebench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("pipebench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_hooks_fire_on_attack(pipeline, tmp_path):
+    # the benchmark times stages by wrapping these functions by name
+    tracer = _load_tracing().Tracer()
+    with tracer.installed():
+        rc = main(
+            [
+                "attack", "--log", str(pipeline / "drive.csv"),
+                "--graph", str(pipeline / "grid.json"),
+                "--out-dir", str(tmp_path / "out"),
+            ]
+        )
+    assert rc == 0
+    assert {
+        "canlog.read_ms",
+        "roadnet.load_ms",
+        "trajgraph.build_ms",
+        "kernels.enumerate_ms",
+        "matcher.dedup_ms",
+        "matcher.rank_ms",
+        "matcher.run_attack_ms",
+    } <= set(tracer.totals)
+    assert tracer.totals["matcher.rungs"] >= 1
+
+
 @pytest.mark.filterwarnings("ignore::canmatch.errors.NoCandidates")
 @pytest.mark.filterwarnings("ignore::canmatch.errors.DegenerateClusters")
 def test_attack_on_featureless_log_exits_empty(pipeline, tmp_path):
@@ -299,6 +367,26 @@ def test_sweep_csv_shape_and_determinism(tmp_path):
     par = tmp_path / "sweep_par.csv"
     assert main(["sweep", "--out", str(par), *SWEEP_ARGS, "--workers", "2"]) == 0
     assert par.read_bytes() == out.read_bytes()
+
+
+def test_sweep_passes_every_match_option_to_the_attack(tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"allow-node-reuse": True, "max-candidates": 5000}))
+    seen = []
+    real = matcher.run_attack
+
+    def spy(g, traj, config):
+        seen.append(config)
+        return real(g, traj, config)
+
+    monkeypatch.setattr(matcher, "run_attack", spy)
+    args = ["--sides-km", "0.9", "--qs", "5", "--ks", "1,3", "--trials", "1", "--seed", "5"]
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--out", str(out), "--config", str(cfg), *args]) == 0
+    assert [(c.k, c.allow_node_reuse, c.max_candidates) for c in seen] == [
+        (1, True, 5000),
+        (3, True, 5000),
+    ]
 
 
 def test_sweep_psi_non_decreasing_in_k(tmp_path):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from canmatch import _kernels
-from canmatch.errors import LengthMismatch, OracleTooLarge, TrajectoryTooShort, Truncated
+from canmatch.errors import OracleTooLarge, TrajectoryTooShort, Truncated
 from canmatch.matcher import (
     DEFAULT_SIGMA_LADDER,
     AttackResult,
@@ -17,12 +17,10 @@ from canmatch.matcher import (
     MatchConfig,
     _graph_csr,
     brute_force_match,
-    escalate_and_match,
     match_paths,
     result_from_dict,
     result_to_geojson,
     run_attack,
-    theta,
     top_k,
 )
 from canmatch.roadnet import RoadEdge, RoadGraph, RoadNode
@@ -162,15 +160,18 @@ def test_escalate_stops_at_first_sufficient_rung():
     g, ids = line_graph([100.0, 150.0, 200.0])
     wr = path_weights(g, ids)
     cfg = MatchConfig(sigma_ladder=(0.02, 0.1), k=1)
-    cands = escalate_and_match(g, traj_of(wr), cfg)
-    assert len(cands) >= 1
-    assert all(c.sigma_used == 0.02 for c in cands)
+    res = run_attack(g, traj_of(wr), cfg)
+    assert len(res.candidates) >= 1
+    assert res.sigma_used == 0.02
+    assert all(c.sigma_used == 0.02 for c in res.candidates)
 
 
 def test_escalate_exhausted_returns_empty():
     g, _ = line_graph([100.0])
     cfg = MatchConfig(sigma_ladder=(0.02, 0.1), k=1)
-    assert escalate_and_match(g, traj_of([5000.0]), cfg) == []
+    res = run_attack(g, traj_of([5000.0]), cfg)
+    assert res.candidates == []
+    assert res.sigma_used == 0.1
 
 
 def test_candidate_sets_nest_along_ladder():
@@ -193,18 +194,17 @@ def test_candidate_sets_nest_along_ladder():
 
 
 def test_theta_examples():
-    c2 = CandidatePath(("a", "b", "c"), (110.0, 190.0), (10.0, 10.0), 10.0, 0.1)
-    assert theta(traj_of([100.0, 200.0]), c2) == 10.0
-    same = CandidatePath(("a", "b", "c"), (100.0, 200.0), (0.0, 0.0), 0.0, 0.1)
-    assert theta(traj_of([100.0, 200.0]), same) == 0.0
-    c1 = CandidatePath(("a", "b"), (107.0,), (7.0,), 7.0, 0.1)
-    assert theta(traj_of([100.0]), c1) == 7.0
-
-
-def test_theta_rejects_length_mismatch():
-    c = CandidatePath(("a", "b"), (107.0,), (7.0,), 7.0, 0.1)
-    with pytest.raises(LengthMismatch):
-        theta(traj_of([100.0, 200.0]), c)
+    # theta is the mean absolute weight deviation per edge
+    for road, wr, theta in (
+        ([110.0, 190.0], [100.0, 200.0], 10.0),
+        ([100.0, 200.0], [100.0, 200.0], 0.0),
+        ([107.0], [100.0], 7.0),
+    ):
+        g, ids = line_graph(road)
+        (c,) = match_paths(g, traj_of(wr), 0.1)
+        assert c.node_ids == tuple(ids)
+        assert c.residuals_m == (theta,) * len(road)
+        assert c.theta_m == theta
 
 
 def _cand(ids: tuple[str, ...], th: float) -> CandidatePath:
@@ -345,13 +345,18 @@ def test_run_attack_ranks_like_top_k_over_the_full_list():
             max_candidates=int(rng.choice([7, 100_000])),
         )
         res = run_attack(g, traj_of(wr), cfg)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            full = escalate_and_match(g, traj_of(wr), cfg)
+        # reference: climb the ladder one rung at a time, rank the full list
+        for sigma in cfg.sigma_ladder:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                full = match_paths(
+                    g, traj_of(wr), sigma, max_candidates=cfg.max_candidates
+                )
+            if len(full) >= cfg.k:
+                break
         ref = top_k(full, cfg.k)
         assert res.candidates == ref.candidates
-        # an empty list means every rung came up short, so the last one ran
-        assert res.sigma_used == (full[0].sigma_used if full else cfg.sigma_ladder[-1])
+        assert res.sigma_used == sigma
         assert res.truncated == any(w.category is Truncated for w in caught)
         thetas = [c.theta_m for c in res.candidates]
         tied += len(set(thetas)) < len(thetas)

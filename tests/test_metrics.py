@@ -1,6 +1,8 @@
 """Metric tests: coverage, precision, displacement, miss rate."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,33 @@ def test_evaluate_per_candidate_tallies():
         }
     ]
     assert rep.to_dict()["psi"] == 0.5
+
+
+def test_evaluate_pairs_each_candidate_once_and_matches_the_standalone_metrics():
+    rng = np.random.default_rng(61)
+    xs = rng.uniform(0.0, 5000.0, size=30)
+    g = RoadGraph([equator_node(f"v{i}", float(x)) for i, x in enumerate(xs)], [])
+    pool = sorted(g.nodes)
+    for _ in range(50):
+        q = int(rng.integers(2, 9))
+        gt = GroundTruth(node_ids=tuple(rng.choice(pool, size=q, replace=False)))
+        res = _Result(
+            [
+                tuple(rng.choice(pool, size=int(rng.integers(1, 9)), replace=False))
+                for _ in range(int(rng.integers(1, 6)))
+            ]
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = evaluate(res, gt, g)
+        unequal = sum(len(c.node_ids) != q for c in res.candidates)
+        assert sum(w.category is PairingTruncated for w in caught) == unequal
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PairingTruncated)
+            offset = distance_offset(res, gt, g)
+        assert rep.precision == precision(res, gt)
+        assert rep.offset_m == offset
+        assert rep.fnr == false_negative_rate(res, gt)
 
 
 def test_precision_and_fnr_sum_to_one_exactly():

@@ -1,6 +1,8 @@
 """Simulator tests: grids, routes, and CAN log synthesis."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,11 +15,10 @@ from canmatch import (
     run_attack,
     sample_route,
     synthesize_can,
-    with_seed,
 )
 from canmatch.canlog import to_csv
 from canmatch.errors import NoSuchPath
-from canmatch.trajgraph import EdgeSpan, segment_distance
+from canmatch.trajgraph import positions_m
 from helpers import line_graph, path_weights
 
 
@@ -49,13 +50,6 @@ def test_profile_defaults_valid():
 def test_profile_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         DriveProfile(**kwargs)
-
-
-def test_with_seed_changes_only_the_seed():
-    p = DriveProfile()
-    p2 = with_seed(p, 99)
-    assert p2.seed == 99
-    assert with_seed(p2, 0) == p
 
 
 # --- synthetic grids
@@ -143,23 +137,19 @@ def test_two_edge_route_duration_and_distances():
     groups = np.split(zero, splits + 1)
     assert len(groups) == 3
     t = scen.log.speed.times
-    spans = [
-        EdgeSpan(t_a=float(t[g1[0]]), t_b=float(t[g2[0]]))
-        for g1, g2 in zip(groups, groups[1:])
-    ]
-    for span in spans:
-        d = segment_distance(scen.log.speed, span)
+    pos = positions_m(scen.log.speed, [t[grp[0]] for grp in groups])
+    for d in np.diff(pos):
         assert d == pytest.approx(500.0, rel=0.01)
 
 
 def test_same_seed_logs_are_byte_identical():
     g = make_synthetic_grid(6, 300.0, 0.1, seed=9)
     gt = sample_route(g, 6, seed=9)
-    p = with_seed(DriveProfile(speed_noise_std=0.4), 123)
+    p = DriveProfile(speed_noise_std=0.4, seed=123)
     a = to_csv(synthesize_can(gt, g, p).log)
     b = to_csv(synthesize_can(gt, g, p).log)
     assert a == b
-    c = to_csv(synthesize_can(gt, g, with_seed(p, 124)).log)
+    c = to_csv(synthesize_can(gt, g, replace(p, seed=124)).log)
     assert c != a
 
 
@@ -185,7 +175,7 @@ def test_alternating_pattern_recovers_both_kinds():
 def test_zero_speed_only_during_dwells():
     g = make_synthetic_grid(6, 300.0, 0.1, seed=30)
     gt = sample_route(g, 5, seed=30)
-    p = with_seed(DriveProfile(speed_noise_std=0.556), 30)
+    p = DriveProfile(speed_noise_std=0.556, seed=30)
     scen = synthesize_can(gt, g, p)
     v = scen.log.speed.values
     zero = np.flatnonzero(v == 0.0)

@@ -7,25 +7,21 @@ import pytest
 from canmatch.canlog import CanLog, PedalSeries, SpeedSeries
 from canmatch.errors import (
     DegenerateClusters,
-    EmptySpan,
     InsufficientData,
     NoCandidates,
     TooFewNodes,
 )
 from canmatch.simulate import DriveProfile, make_synthetic_grid, sample_route, synthesize_can
 from canmatch.trajgraph import (
-    EdgeSpan,
     TrajectoryGraph,
     TrajectoryNode,
     build_trajectory,
     candidate_points,
     compute_threshold,
-    derive_thresholds,
     extract_nodes,
     gap_series,
     merge_nodes,
-    segment_distance,
-    _SpeedIntegrator,
+    positions_m,
 )
 
 from helpers import constant_speed_log, reference_merge_nodes
@@ -43,6 +39,12 @@ def _pedal(times, values) -> PedalSeries:
         times=np.asarray(times, dtype=np.float64),
         values=np.asarray(values, dtype=np.float64),
     )
+
+
+def _distance(series, t_a, t_b) -> float:
+    """Meters driven over [t_a, t_b)."""
+    a, b = positions_m(series, [t_a, t_b])
+    return float(b - a)
 
 
 def _cands(times, kind="stop"):
@@ -83,11 +85,11 @@ def test_pedal_tolerance_is_configurable():
 
 def test_gap_series_example():
     g = gap_series(_cands([0.0, 0.1, 45.3]))
-    assert g.gaps.tolist() == pytest.approx([0.1, 45.2])
+    assert g.tolist() == pytest.approx([0.1, 45.2])
 
 
 def test_gap_series_two_points():
-    assert gap_series(_cands([1.0, 2.5])).gaps.tolist() == [1.5]
+    assert gap_series(_cands([1.0, 2.5])).tolist() == [1.5]
 
 
 def test_gap_series_single_point():
@@ -158,26 +160,19 @@ def test_extract_fires_on_float_equal_gap():
 
 def test_segment_distance_constant_speed():
     log = constant_speed_log(36.0, 100.0)
-    assert segment_distance(log.speed, EdgeSpan(0.0, 100.0)) == pytest.approx(1000.0)
+    assert _distance(log.speed, 0.0, 100.0) == pytest.approx(1000.0)
 
 
 def test_segment_distance_piecewise():
     times = np.arange(0.0, 101.0)
     values = np.where(times < 50, 36.0, 72.0)
-    d = segment_distance(_speed(times, values), EdgeSpan(0.0, 100.0))
+    d = _distance(_speed(times, values), 0.0, 100.0)
     assert d == pytest.approx(1500.0)
 
 
 def test_segment_distance_zero_speed():
     times = np.arange(0.0, 10.0)
-    assert segment_distance(_speed(times, np.zeros(10)), EdgeSpan(0.0, 9.0)) == 0.0
-
-
-def test_segment_distance_empty_span_warns():
-    log = constant_speed_log(36.0, 10.0)
-    with pytest.warns(EmptySpan):
-        d = segment_distance(log.speed, EdgeSpan(3.2, 3.7))
-    assert d == 0.0
+    assert _distance(_speed(times, np.zeros(10)), 0.0, 9.0) == 0.0
 
 
 def test_rectangle_method_exact_on_aligned_steps():
@@ -190,9 +185,8 @@ def test_rectangle_method_exact_on_aligned_steps():
         a_i, b_i = sorted(rng.choice(n, size=2, replace=False))
         if a_i == b_i:
             continue
-        span = EdgeSpan(float(times[a_i]), float(times[b_i]))
         exact = float(np.sum(values[a_i:b_i] / 3.6 * dt))
-        got = segment_distance(_speed(times, values), span)
+        got = _distance(_speed(times, values), times[a_i], times[b_i])
         assert got == pytest.approx(exact, rel=1e-9)
 
 
@@ -205,8 +199,8 @@ def test_merge_hand_trace():
     nodes = [TrajectoryNode(t, "stop") for t in (0.0, 50.0, 52.0, 82.0)]
     merged = merge_nodes(nodes, log.speed, 50.0)
     assert [n.event_time_s for n in merged] == [0.0, 52.0, 82.0]
-    d1 = segment_distance(log.speed, EdgeSpan(0.0, 52.0))
-    d2 = segment_distance(log.speed, EdgeSpan(52.0, 82.0))
+    d1 = _distance(log.speed, 0.0, 52.0)
+    d2 = _distance(log.speed, 52.0, 82.0)
     assert d1 == pytest.approx(520.0)
     assert d2 == pytest.approx(300.0)
 
@@ -247,7 +241,7 @@ def test_merge_postcondition_random():
         min_edge = float(rng.uniform(10, 400))
         merged = merge_nodes(nodes, series, min_edge)
         for a, b in zip(merged, merged[1:]):
-            d = segment_distance(series, EdgeSpan(a.event_time_s, b.event_time_s))
+            d = _distance(series, a.event_time_s, b.event_time_s)
             assert d >= min_edge * (1 - 1e-9)
 
 
@@ -278,14 +272,13 @@ def test_merge_matches_pairwise_reference():
     rng = np.random.default_rng(57)
     for _ in range(60):
         series, nodes = _flood_drive(rng)
-        integ = _SpeedIntegrator(series)
         if rng.random() < 0.5:
             min_edge = float(rng.uniform(1.0, 150.0))
         else:  # a cutoff float-equal to the distance between two near nodes
             ts = sorted(nd.event_time_s for nd in nodes)
             a = int(rng.integers(len(ts) - 1))
             b = min(len(ts) - 1, a + int(rng.integers(1, 4)))
-            min_edge = integ.distance_m(ts[a], ts[b]) or 1.0
+            min_edge = _distance(series, ts[a], ts[b]) or 1.0
         assert merge_nodes(nodes, series, min_edge) == reference_merge_nodes(
             nodes, series, min_edge
         )
@@ -300,9 +293,8 @@ def test_build_weights_equal_pairwise_distances_bit_for_bit():
         )
         log = synthesize_can(gt, g, profile).log
         traj = build_trajectory(log, g.min_edge_length_m)
-        integ = _SpeedIntegrator(log.speed)
         pairs = zip(traj.nodes, traj.nodes[1:])
-        expected = [integ.distance_m(a.event_time_s, b.event_time_s) for a, b in pairs]
+        expected = [_distance(log.speed, a.event_time_s, b.event_time_s) for a, b in pairs]
         assert traj.edge_weights_m.tobytes() == np.array(expected).tobytes()
 
 
@@ -369,10 +361,11 @@ def test_build_trajectory_simulator_route():
         assert w == pytest.approx(300.0, rel=0.05)
 
 
-def test_derive_thresholds_reports_both_branches():
-    th = derive_thresholds(_two_stop_log())
-    assert th.delta_stop_s is not None
-    assert th.delta_turn_s is not None
+def test_both_branches_derive_a_threshold():
+    log = _two_stop_log()
+    for series in (log.speed, log.pedal):
+        delta = compute_threshold(gap_series(candidate_points(series)))
+        assert 0.0 < delta < 80.0
 
 
 def test_trajectory_graph_dict_round_trip():
