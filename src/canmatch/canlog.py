@@ -9,7 +9,6 @@ stable sort so equal-time rows keep file order.
 from __future__ import annotations
 
 import gzip
-import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -218,14 +217,14 @@ def to_csv(log: CanLog) -> str:
     Rows are merged in (time, signal) order and floats use repr so that
     parse_can_csv(to_csv(log)) == log holds exactly.
     """
-    rows = [(t, 0, v) for t, v in zip(log.speed.times, log.speed.values)]
-    rows += [(t, 1, v) for t, v in zip(log.pedal.times, log.pedal.values)]
-    rows.sort(key=lambda r: (r[0], r[1]))
-    out = io.StringIO()
-    out.write(HEADER + "\n")
-    for t, sig, v in rows:
-        out.write(f"{float(t)!r},{SIGNALS[sig]},{float(v)!r}\n")
-    return out.getvalue()
+    s, p = log.speed, log.pedal
+    times = np.concatenate((s.times, p.times), dtype=np.float64)
+    values = np.concatenate((s.values, p.values), dtype=np.float64)
+    signal = np.repeat(np.array(SIGNALS), (s.count, p.count))
+    # stable: rows equal in time and signal keep series order
+    order = np.lexsort((signal == SIGNALS[1], times))
+    rows = zip(times[order].tolist(), signal[order].tolist(), values[order].tolist())
+    return HEADER + "\n" + "".join([f"{t!r},{sig},{v!r}\n" for t, sig, v in rows])
 
 
 def write_can_csv(log: CanLog, path) -> None:

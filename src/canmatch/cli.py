@@ -16,6 +16,7 @@ import argparse
 import concurrent.futures
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -78,9 +79,9 @@ def _log(stage: str, **kv) -> None:
 
 
 def _write_json(doc: dict, path: str) -> None:
+    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _load_config(path: str | None) -> dict:
@@ -153,12 +154,12 @@ def cmd_ingest_osm(args) -> int:
     config = _load_config(args.config)
     t0 = time.monotonic()
     g = roadnet.read_osm_xml(args.infile)
-    _log("ingest_osm", nodes=len(g.nodes), edges=len(g.edges))
+    _log("ingest_osm", nodes=len(g.ids), edges=g.edge_u.size)
     bbox = _setting(args, config, "bbox", None)
     if bbox:
         lat, lon, side = _parse_floats(bbox) if isinstance(bbox, str) else tuple(bbox)
         g = roadnet.bbox_filter(g, lat, lon, side)
-        _log("bbox_filter", nodes=len(g.nodes), edges=len(g.edges), side_km=side)
+        _log("bbox_filter", nodes=len(g.ids), edges=g.edge_u.size, side_km=side)
     roadnet.save_graph(g, args.out)
     _log("write_graph", path=args.out, elapsed_s=f"{time.monotonic() - t0:.3f}")
     return EXIT_OK
@@ -177,7 +178,7 @@ def cmd_make_grid(args) -> int:
         n, spacing, jitter, seed=seed, origin=tuple(origin)
     )
     roadnet.save_graph(g, args.out)
-    _log("make_grid", n=n, nodes=len(g.nodes), edges=len(g.edges), path=args.out)
+    _log("make_grid", n=n, nodes=len(g.ids), edges=g.edge_u.size, path=args.out)
     return EXIT_OK
 
 
@@ -235,7 +236,7 @@ def cmd_attack(args) -> int:
     t0 = time.monotonic()
     log = canlog.read_can_csv(args.log)
     g = roadnet.load_graph(args.graph)
-    _log("parse", speed_rows=log.speed.count, graph_nodes=len(g.nodes), kernel=backend())
+    _log("parse", speed_rows=log.speed.count, graph_nodes=len(g.ids), kernel=backend())
     traj = _build_traj(args, config, log, g)
     _log("build_trajectory", nodes=traj.node_count)
     result = matcher.run_attack(g, traj, mcfg)
@@ -313,20 +314,37 @@ def _sweep_trial(
     return (idx, report.psi, report.precision, report.offset_m, report.fnr, 1)
 
 
+def _sweep_settings(args, config: dict) -> tuple:
+    """The sweep's grid and run settings, checked before any trial runs."""
+    try:
+        sides = _setting(args, config, "sides-km", (1.5, 2.4, 3.3, 4.2))
+        if isinstance(sides, str):
+            sides = _parse_floats(sides)
+        qs = _setting(args, config, "qs", (5, 10, 15))
+        if isinstance(qs, str):
+            qs = _parse_ints(qs)
+        ks = _setting(args, config, "ks", (3,))
+        if isinstance(ks, str):
+            ks = _parse_ints(ks)
+        trials = int(_setting(args, config, "trials", 5))
+        workers = int(_setting(args, config, "workers", 1))
+        if not all(0 < s < math.inf for s in sides):
+            raise BadOption("sides-km values must be positive and finite")
+        if not all(q >= 2 for q in qs):
+            raise BadOption("qs values must be at least 2")
+        if not all(k >= 1 for k in ks):
+            raise BadOption("ks values must be at least 1")
+        if trials < 1 or workers < 1:
+            raise BadOption("trials and workers must be at least 1")
+    except (TypeError, ValueError) as exc:
+        raise BadOption(f"bad sweep option: {exc}") from exc
+    return sides, qs, ks, trials, workers
+
+
 def cmd_sweep(args) -> int:
     config = _load_config(args.config)
-    sides = _setting(args, config, "sides-km", (1.5, 2.4, 3.3, 4.2))
-    if isinstance(sides, str):
-        sides = _parse_floats(sides)
-    qs = _setting(args, config, "qs", (5, 10, 15))
-    if isinstance(qs, str):
-        qs = _parse_ints(qs)
-    ks = _setting(args, config, "ks", (3,))
-    if isinstance(ks, str):
-        ks = _parse_ints(ks)
-    trials = int(_setting(args, config, "trials", 5))
+    sides, qs, ks, trials, workers = _sweep_settings(args, config)
     master = int(_setting(args, config, "seed", 0))
-    workers = int(_setting(args, config, "workers", 1))
     spacing = float(_setting(args, config, "spacing-m", 300.0))
     grid_jitter = float(_setting(args, config, "grid-jitter", 0.1))
     profile = _profile_from(args, config)
@@ -480,8 +498,14 @@ def _add_profile_flags(p) -> None:
     p.add_argument("--event-pattern", choices=simulate.EVENT_PATTERNS)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused by every later main() call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:

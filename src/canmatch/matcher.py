@@ -121,35 +121,6 @@ def result_from_dict(doc: dict) -> AttackResult:
     )
 
 
-def _graph_csr(g: RoadGraph):
-    """CSR arrays for the kernel, cached on the graph instance.
-
-    Returns (ids, indptr, nbrs, lens, keys). Node indices follow sorted
-    node ids, and each node's neighbour slots run in ascending index order,
-    so the slot keys u*n+v are sorted, the kernel finds paths in node-id
-    order, and the length of edge (u, v) is lens[searchsorted(keys, u*n+v)].
-    """
-    cached = getattr(g, "_csr_cache", None)
-    if cached is not None:
-        return cached
-    ids = sorted(g.nodes)
-    n = len(ids)
-    index = {nid: i for i, nid in enumerate(ids)}
-    m = len(g.edges)
-    u = np.fromiter((index[e.u] for e in g.edges), dtype=np.int64, count=m)
-    v = np.fromiter((index[e.v] for e in g.edges), dtype=np.int64, count=m)
-    w = np.fromiter((e.length_m for e in g.edges), dtype=np.float64, count=m)
-    keys = np.concatenate((u * n + v, v * n + u))
-    order = np.argsort(keys)
-    keys = keys[order]
-    nbrs = np.concatenate((v, u))[order]
-    lens = np.concatenate((w, w))[order]
-    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-    cached = (ids, indptr, nbrs, lens, keys)
-    g._csr_cache = cached
-    return cached
-
-
 def _edge_weights(traj) -> np.ndarray:
     wr = np.asarray(
         traj.edge_weights_m if isinstance(traj, TrajectoryGraph) else traj,
@@ -187,7 +158,7 @@ def _dedup_orientations(paths: np.ndarray, thetas: np.ndarray) -> np.ndarray:
 class _Rung(NamedTuple):
     """One sigma rung's deduplicated matches as row-aligned arrays, in node-id order."""
 
-    ids: list[str]
+    ids: tuple[str, ...]
     paths: np.ndarray  # (count, q) node indices into ids
     lens: np.ndarray  # (count, q-1) road edge lengths
     residuals: np.ndarray  # (count, q-1) |lens - wr|
@@ -220,21 +191,21 @@ def _match_info(
     wr = _edge_weights(traj)
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    ids, indptr, nbrs, lens, keys = _graph_csr(g)
     q = wr.size + 1
     # An anonymous mapping commits only the pages the kernel writes and goes
     # back to the OS when freed; a malloc'd buffer this size can stay resident.
     out = np.frombuffer(mmap.mmap(-1, max_candidates * q * 8), dtype=np.int64)
     count, truncated = _kernels.enumerate_matches(
-        indptr, nbrs, lens, wr, float(sigma), max_candidates, allow_node_reuse, out
+        g.indptr, g.nbrs, g.lens, wr, float(sigma), max_candidates, allow_node_reuse, out
     )
     paths = out[: count * q].reshape(count, q)
-    edge_lens = lens[np.searchsorted(keys, paths[:, :-1] * len(ids) + paths[:, 1:])]
+    slots = np.searchsorted(g.keys, paths[:, :-1] * len(g.ids) + paths[:, 1:])
+    edge_lens = g.lens[slots]
     residuals = np.abs(edge_lens - wr)
     thetas = residuals.sum(axis=1) / wr.size
     keep = _dedup_orientations(paths, thetas)
     return _Rung(
-        ids,
+        g.ids,
         paths[keep],
         edge_lens[keep],
         residuals[keep],
@@ -323,13 +294,12 @@ def brute_force_match(
     only, applies the tolerance test afterwards, and dedups orientations.
     Exists to check match_paths against; refuses graphs over node_limit.
     """
-    if len(g.nodes) > node_limit:
-        raise OracleTooLarge(f"{len(g.nodes)} nodes exceeds limit {node_limit}")
+    if len(g.ids) > node_limit:
+        raise OracleTooLarge(f"{len(g.ids)} nodes exceeds limit {node_limit}")
     wr = _edge_weights(traj)
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     q = wr.size + 1
-    ids = sorted(g.nodes)
     adj = g.adjacency()
     length_of = {}
     for e in g.edges:
@@ -349,7 +319,7 @@ def brute_force_match(
                     walk(v)
         path.pop()
 
-    for start in ids:
+    for start in g.ids:
         walk(start)
 
     # one candidate per undirected path: lower theta, then smaller node ids
@@ -378,9 +348,8 @@ def result_to_geojson(result: AttackResult, g: RoadGraph) -> dict:
     """Candidates as a GeoJSON FeatureCollection of LineStrings."""
     features = []
     for rank, c in enumerate(result.candidates, start=1):
-        coords = [
-            [g.nodes[nid].lon, g.nodes[nid].lat] for nid in c.node_ids
-        ]
+        at = g.index(c.node_ids)
+        coords = np.stack((g.lon[at], g.lat[at]), axis=1).tolist()
         features.append(
             {
                 "type": "Feature",

@@ -6,8 +6,8 @@ carry the driven length in meters of the underlying way polyline.
 
 from __future__ import annotations
 
+import bisect
 import json
-import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
@@ -61,55 +61,178 @@ class RoadEdge:
         return (self.u, self.v) if self.u <= self.v else (self.v, self.u)
 
 
-class RoadGraph:
-    """Immutable undirected graph with haversine edge lengths.
+_EDGE_ARRAYS = ("edge_u", "edge_v", "edge_length_m", "edge_reversed")
 
-    Parallel edges between the same endpoints are collapsed to the
-    shortest; self loops are dropped. A non-finite coordinate or a
-    non-finite or non-positive edge length raises SchemaMismatch.
+
+class RoadGraph:
+    """Immutable undirected graph with haversine edge lengths, held as arrays.
+
+    Nodes are indexed in sorted-id order: ``ids``, ``lat`` and ``lon``.
+    Edges are canonical rows ``edge_u < edge_v`` (node indices) sorted by
+    that pair, with ``edge_length_m`` and ``edge_reversed``, which marks an
+    edge the input gave as (v, u). The same edges as CSR neighbour lists,
+    which the matcher searches: node i's neighbours are
+    ``nbrs[indptr[i]:indptr[i+1]]`` in ascending index order, with lengths
+    ``lens`` and slot keys ``keys = i*n + nbr``, which ascend, so the length
+    of edge (i, j) is ``lens[searchsorted(keys, i*n + j)]``.
+
+    A repeated node id keeps its last row. Parallel edges between the same
+    endpoints are collapsed to the shortest, the first one given on ties;
+    self loops are dropped. A non-finite coordinate or a non-finite or
+    non-positive edge length raises SchemaMismatch, an edge to an unknown
+    node DanglingNodeRef.
     """
 
     def __init__(self, nodes: list[RoadNode], edges: list[RoadEdge]):
-        self.nodes: dict[str, RoadNode] = {n.id: n for n in nodes}
-        for n in nodes:
-            if not (math.isfinite(n.lat) and math.isfinite(n.lon)):
-                raise SchemaMismatch(f"node {n.id} has a non-finite coordinate")
-        best: dict[tuple[str, str], RoadEdge] = {}
-        for e in edges:
-            if e.u == e.v:
-                continue
-            if e.u not in self.nodes or e.v not in self.nodes:
-                raise DanglingNodeRef(f"edge {e.u}-{e.v} references an unknown node")
-            if not 0 < e.length_m < math.inf:
-                raise SchemaMismatch(f"edge {e.u}-{e.v} has length {e.length_m}")
-            k = e.key()
-            if k not in best or e.length_m < best[k].length_m:
-                best[k] = e
-        self.edges: list[RoadEdge] = [best[k] for k in sorted(best)]
-        self._adj: dict[str, list[tuple[str, float]]] | None = None
+        self._build(
+            [n.id for n in nodes],
+            [n.lat for n in nodes],
+            [n.lon for n in nodes],
+            [e.u for e in edges],
+            [e.v for e in edges],
+            [e.length_m for e in edges],
+        )
+
+    @classmethod
+    def _from_columns(cls, ids, lat, lon, us, vs, ws) -> "RoadGraph":
+        """Build from node columns and edge columns (endpoint ids, lengths)."""
+        g = cls.__new__(cls)
+        g._build(ids, lat, lon, us, vs, ws)
+        return g
+
+    def _build(self, ids, lat, lon, us, vs, ws) -> None:
+        lat = np.asarray(lat, dtype=np.float64)
+        lon = np.asarray(lon, dtype=np.float64)
+        finite = np.isfinite(lat) & np.isfinite(lon)
+        if not finite.all():
+            raise SchemaMismatch(
+                f"node {ids[int(finite.argmin())]} has a non-finite coordinate"
+            )
+        last = {nid: row for row, nid in enumerate(ids)}
+        self.ids: tuple[str, ...] = tuple(sorted(last))
+        n = len(self.ids)
+        rows = np.fromiter(map(last.__getitem__, self.ids), np.int64, n)
+        self.lat = lat[rows]
+        self.lon = lon[rows]
+
+        index = {nid: i for i, nid in enumerate(self.ids)}
+        unknown: dict = {}
+        u = _node_codes(us, index, unknown)
+        v = _node_codes(vs, index, unknown)
+        w = np.asarray(ws, dtype=np.float64)
+        # a self loop is dropped unchecked, even one on an unknown id
+        kept = np.flatnonzero(u != v)
+        u, v, w = u[kept], v[kept], w[kept]
+        dangling = (u < 0) | (v < 0)
+        bad = dangling | ~((w > 0) & (w < np.inf))
+        if bad.any():
+            # the first faulty edge given raises; an unknown end before its length
+            first = int(bad.argmax())
+            row = int(kept[first])
+            if dangling[first]:
+                raise DanglingNodeRef(f"edge {us[row]}-{vs[row]} references an unknown node")
+            raise SchemaMismatch(f"edge {us[row]}-{vs[row]} has length {ws[row]}")
+
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        pair = lo * n + hi
+        # per endpoint pair, the shortest edge, the first one given on ties
+        order = np.lexsort((w, pair))
+        pair = pair[order]
+        head = np.ones(pair.size, dtype=np.bool_)
+        head[1:] = pair[1:] != pair[:-1]
+        pick = order[head]
+        self.edge_u, self.edge_v = lo[pick], hi[pick]
+        self.edge_length_m = w[pick]
+        self.edge_reversed = (u > v)[pick]
+
+        eu, ev, ew = self.edge_u, self.edge_v, self.edge_length_m
+        keys = np.concatenate((eu * n + ev, ev * n + eu))
+        slot = np.argsort(keys)
+        self.keys = keys[slot]
+        self.nbrs = np.concatenate((ev, eu))[slot]
+        self.lens = np.concatenate((ew, ew))[slot]
+        self.indptr = np.searchsorted(self.keys, np.arange(n + 1, dtype=np.int64) * n)
+        for name in ("lat", "lon", *_EDGE_ARRAYS, "keys", "nbrs", "lens", "indptr"):
+            getattr(self, name).flags.writeable = False
 
     @property
     def min_edge_length_m(self) -> float:
-        if not self.edges:
+        if not self.edge_length_m.size:
             raise EmptyResult("graph has no edges")
-        return min(e.length_m for e in self.edges)
+        return float(self.edge_length_m.min())
+
+    def index(self, node_ids) -> np.ndarray:
+        """Positions of node_ids in ids. Raises KeyError for an id not in the graph."""
+        ids = self.ids
+        at = [bisect.bisect_left(ids, nid) for nid in node_ids]
+        for i, nid in zip(at, node_ids):
+            if i == len(ids) or ids[i] != nid:
+                raise KeyError(nid)
+        return np.array(at, dtype=np.int64)
+
+    def edge_slot(self, a, b) -> int:
+        """CSR slot of the edge between node ids a and b, or -1 if there is none."""
+        try:
+            i, j = self.index((a, b)).tolist()
+        except KeyError:
+            return -1
+        key = i * len(self.ids) + j
+        slot = int(np.searchsorted(self.keys, key))
+        return slot if slot < self.keys.size and self.keys[slot] == key else -1
+
+    @property
+    def nodes(self) -> dict[str, RoadNode]:
+        """Node objects by id, built on each access from the arrays."""
+        return {
+            nid: RoadNode(nid, la, lo)
+            for nid, la, lo in zip(self.ids, self.lat.tolist(), self.lon.tolist())
+        }
+
+    @property
+    def edges(self) -> list[RoadEdge]:
+        """Edge objects in canonical order and input orientation, built on each access."""
+        ids = self.ids
+        rev = self.edge_reversed
+        u = np.where(rev, self.edge_v, self.edge_u).tolist()
+        v = np.where(rev, self.edge_u, self.edge_v).tolist()
+        return [
+            RoadEdge(ids[a], ids[b], w)
+            for a, b, w in zip(u, v, self.edge_length_m.tolist())
+        ]
 
     def adjacency(self) -> dict[str, list[tuple[str, float]]]:
-        """Neighbor lists (neighbor id, edge length), sorted for determinism."""
-        if self._adj is None:
-            adj: dict[str, list[tuple[str, float]]] = {nid: [] for nid in self.nodes}
-            for e in self.edges:
-                adj[e.u].append((e.v, e.length_m))
-                adj[e.v].append((e.u, e.length_m))
-            for lst in adj.values():
-                lst.sort()
-            self._adj = adj
-        return self._adj
+        """Neighbor lists (neighbor id, edge length), sorted by neighbor id."""
+        ids = self.ids
+        ptr = self.indptr.tolist()
+        nbrs = self.nbrs.tolist()
+        lens = self.lens.tolist()
+        return {
+            nid: [(ids[j], w) for j, w in zip(nbrs[ptr[i] : ptr[i + 1]], lens[ptr[i] : ptr[i + 1]])]
+            for i, nid in enumerate(ids)
+        }
 
     def __eq__(self, other):
         if not isinstance(other, RoadGraph):
             return NotImplemented
-        return self.nodes == other.nodes and self.edges == other.edges
+        return self.ids == other.ids and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("lat", "lon", *_EDGE_ARRAYS)
+        )
+
+
+def _node_codes(names, index: dict, unknown: dict) -> np.ndarray:
+    """Node index of each id; an unknown id gets a negative code of its own."""
+    try:
+        return np.fromiter(map(index.__getitem__, names), np.int64, len(names))
+    except KeyError:
+        return np.fromiter(
+            (
+                index[x] if x in index else -1 - unknown.setdefault(x, len(unknown))
+                for x in names
+            ),
+            np.int64,
+            len(names),
+        )
 
 
 def _polyline_length_m(coords: list[tuple[float, float]]) -> float:
@@ -191,14 +314,25 @@ def read_osm_xml(path) -> RoadGraph:
 def graph_to_dict(g: RoadGraph) -> dict:
     return {
         "version": GRAPH_FORMAT_VERSION,
-        "nodes": [
-            {"id": n.id, "lat": n.lat, "lon": n.lon}
-            for n in sorted(g.nodes.values(), key=lambda n: n.id)
-        ],
+        "nodes": [{"id": n.id, "lat": n.lat, "lon": n.lon} for n in g.nodes.values()],
         "edges": [
             {"u": e.u, "v": e.v, "length_m": e.length_m} for e in g.edges
         ],
     }
+
+
+def _graph_columns(doc: dict) -> tuple:
+    """The document's node and edge fields as columns, converted as read."""
+    nodes = list(doc["nodes"])
+    edges = list(doc["edges"])
+    return (
+        [str(n["id"]) for n in nodes],
+        [float(n["lat"]) for n in nodes],
+        [float(n["lon"]) for n in nodes],
+        [str(e["u"]) for e in edges],
+        [str(e["v"]) for e in edges],
+        [float(e["length_m"]) for e in edges],
+    )
 
 
 def graph_from_dict(doc: dict) -> RoadGraph:
@@ -207,23 +341,25 @@ def graph_from_dict(doc: dict) -> RoadGraph:
     if doc["version"] != GRAPH_FORMAT_VERSION:
         raise VersionUnsupported(f"graph format version {doc['version']!r} unsupported")
     try:
-        nodes = [
-            RoadNode(str(n["id"]), float(n["lat"]), float(n["lon"]))
-            for n in doc["nodes"]
-        ]
-        edges = [
-            RoadEdge(str(e["u"]), str(e["v"]), float(e["length_m"]))
-            for e in doc["edges"]
-        ]
+        try:
+            columns = _graph_columns(doc)
+        except (KeyError, TypeError, ValueError):
+            # columns convert field by field; converting row by row raises
+            # the error of the first faulty row, whatever column it is in
+            for n in doc["nodes"]:
+                str(n["id"]), float(n["lat"]), float(n["lon"])
+            for e in doc["edges"]:
+                str(e["u"]), str(e["v"]), float(e["length_m"])
+            raise
     except (KeyError, TypeError) as exc:
         raise SchemaMismatch(f"graph document missing field: {exc}") from None
-    return RoadGraph(nodes, edges)
+    return RoadGraph._from_columns(*columns)
 
 
 def save_graph(g: RoadGraph, path) -> None:
+    text = json.dumps(graph_to_dict(g), indent=1, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_dict(g), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_graph(path) -> RoadGraph:
@@ -248,13 +384,14 @@ def bbox_filter(g: RoadGraph, center_lat: float, center_lon: float, side_km: flo
     half_m = side_km * 1000.0 / 2.0
     dlat = half_m / M_PER_DEG_LAT
     dlon = half_m / (M_PER_DEG_LAT * np.cos(np.radians(center_lat)))
+    nodes = g.nodes
     inside = {
         n.id
-        for n in g.nodes.values()
+        for n in nodes.values()
         if abs(n.lat - center_lat) <= dlat and abs(n.lon - center_lon) <= dlon
     }
-    nodes = [g.nodes[nid] for nid in sorted(inside)]
+    kept = [nodes[nid] for nid in sorted(inside)]
     edges = [e for e in g.edges if e.u in inside and e.v in inside]
-    if not nodes or not edges:
+    if not kept or not edges:
         raise EmptyResult(f"no road network within {side_km} km window")
-    return RoadGraph(nodes, edges)
+    return RoadGraph(kept, edges)

@@ -134,18 +134,19 @@ def sample_route(g: RoadGraph, q: int, seed: int = 0) -> GroundTruth:
     """
     if q < 2:
         raise ValueError("a route needs at least 2 nodes")
-    ids = sorted(g.nodes)
+    ids = g.ids
     if q > len(ids):
         raise NoSuchPath(f"graph has only {len(ids)} nodes, need {q}")
     rng = np.random.default_rng(seed)
-    adj = g.adjacency()
-    path: list[str] = []
+    ptr = g.indptr.tolist()
+    nbrs = g.nbrs.tolist()
+    path: list[int] = []
 
-    def walk(u: str) -> bool:
+    def walk(u: int) -> bool:
         path.append(u)
         if len(path) == q:
             return True
-        options = [v for v, _w in adj[u] if v not in path]
+        options = [v for v in nbrs[ptr[u] : ptr[u + 1]] if v not in path]
         for idx in rng.permutation(len(options)):
             if walk(options[int(idx)]):
                 return True
@@ -154,17 +155,9 @@ def sample_route(g: RoadGraph, q: int, seed: int = 0) -> GroundTruth:
 
     for _attempt in range(200):
         path.clear()
-        if walk(ids[int(rng.integers(len(ids)))]):
-            return GroundTruth(node_ids=tuple(path))
+        if walk(int(rng.integers(len(ids)))):
+            return GroundTruth(node_ids=tuple(ids[i] for i in path))
     raise NoSuchPath(f"no simple path of {q} nodes found in 200 attempts")
-
-
-def _edge_length_lookup(g: RoadGraph) -> dict[tuple[str, str], float]:
-    lut = {}
-    for e in g.edges:
-        lut[(e.u, e.v)] = e.length_m
-        lut[(e.v, e.u)] = e.length_m
-    return lut
 
 
 class _Trace:
@@ -247,12 +240,13 @@ def synthesize_can(gt: GroundTruth, g: RoadGraph, profile: DriveProfile) -> SimS
     stop/turn by default. Every event is anchored by odometer position, so
     noise-free logs reconstruct each road edge length exactly.
     """
-    lut = _edge_length_lookup(g)
-    lengths = []
+    slots = []
     for a, b in zip(gt.node_ids, gt.node_ids[1:]):
-        if (a, b) not in lut:
+        slot = g.edge_slot(a, b)
+        if slot < 0:
             raise ValueError(f"ground truth hops non-edge {a}-{b}")
-        lengths.append(lut[(a, b)])
+        slots.append(slot)
+    lengths = g.lens[slots]
 
     anchors = np.concatenate(([profile.lead_in_m], profile.lead_in_m + np.cumsum(lengths)))
     rng = np.random.default_rng(profile.seed)

@@ -6,6 +6,8 @@ hand-computable.
 """
 from __future__ import annotations
 
+import io
+import json
 import math
 import warnings
 
@@ -13,10 +15,12 @@ import numpy as np
 
 from canmatch.canlog import HEADER, SIGNALS, CanLog, PedalSeries, SpeedSeries
 from canmatch.errors import (
+    DanglingNodeRef,
     DuplicateTimestamp,
     EmptyLog,
     MalformedRow,
     NonMonotonicTime,
+    SchemaMismatch,
     UnknownSignal,
 )
 from canmatch.geo import EARTH_RADIUS_M
@@ -274,3 +278,68 @@ def reference_merge_nodes(
         else:
             k += 1
     return merged
+
+
+def reference_road_graph(
+    nodes: list[RoadNode], edges: list[RoadEdge]
+) -> tuple[dict, list[RoadEdge]]:
+    """Dict-based constructor with RoadGraph's contract: (nodes by id, edges).
+
+    A repeated node id keeps its last node. Non-finite coordinates are
+    checked over every node given, then each edge in turn: self loops are
+    skipped unread, an unknown endpoint or a non-finite or non-positive
+    length raises, and each endpoint pair keeps its shortest edge, the
+    first one given on ties, in its given orientation. Edges come out in
+    order of their sorted endpoint pair.
+    """
+    by_id = {n.id: n for n in nodes}
+    for n in nodes:
+        if not (math.isfinite(n.lat) and math.isfinite(n.lon)):
+            raise SchemaMismatch(f"node {n.id} has a non-finite coordinate")
+    best: dict = {}
+    for e in edges:
+        if e.u == e.v:
+            continue
+        if e.u not in by_id or e.v not in by_id:
+            raise DanglingNodeRef(f"edge {e.u}-{e.v} references an unknown node")
+        if not 0 < e.length_m < math.inf:
+            raise SchemaMismatch(f"edge {e.u}-{e.v} has length {e.length_m}")
+        k = e.key()
+        if k not in best or e.length_m < best[k].length_m:
+            best[k] = e
+    return by_id, [best[k] for k in sorted(best)]
+
+
+def reference_graph_json(by_id: dict, edges: list[RoadEdge]) -> str:
+    """save_graph's file text for a reference_road_graph."""
+    doc = {
+        "version": 1,
+        "nodes": [
+            {"id": n.id, "lat": n.lat, "lon": n.lon}
+            for n in sorted(by_id.values(), key=lambda n: n.id)
+        ],
+        "edges": [{"u": e.u, "v": e.v, "length_m": e.length_m} for e in edges],
+    }
+    out = io.StringIO()
+    json.dump(doc, out, indent=1, sort_keys=True)
+    out.write("\n")
+    return out.getvalue()
+
+
+def reference_graph_csr(by_id: dict, edges: list[RoadEdge]):
+    """CSR arrays (indptr, nbrs, lens, keys) of a reference_road_graph.
+
+    Node indices follow sorted ids; each node's slots ascend by neighbour
+    index, so the slot keys u*n+v ascend.
+    """
+    ids = sorted(by_id)
+    n = len(ids)
+    index = {nid: i for i, nid in enumerate(ids)}
+    u = np.array([index[e.u] for e in edges], dtype=np.int64)
+    v = np.array([index[e.v] for e in edges], dtype=np.int64)
+    w = np.array([e.length_m for e in edges], dtype=np.float64)
+    keys = np.concatenate((u * n + v, v * n + u))
+    order = np.argsort(keys)
+    keys = keys[order]
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    return indptr, np.concatenate((v, u))[order], np.concatenate((w, w))[order], keys

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from canmatch import matcher
+from canmatch import cli, matcher, simulate, trajgraph
 from canmatch.canlog import read_can_csv, write_can_csv
 from canmatch.cli import main
 from canmatch.metrics import GroundTruth
@@ -227,6 +227,45 @@ def test_attack_k_flag_beats_config(pipeline, tmp_path):
     assert len(doc["candidates"]) == 2
 
 
+def test_reused_parser_leaks_no_option_between_calls(pipeline, tmp_path, monkeypatch):
+    first_event = []
+    real = trajgraph.build_trajectory
+
+    def spy(*args, **kwargs):
+        first_event.append(kwargs["include_first_event"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(trajgraph, "build_trajectory", spy)
+
+    def attack(name: str, *options: str) -> dict:
+        argv = ["attack", "--log", str(pipeline / "drive.csv")]
+        argv += ["--graph", str(pipeline / "grid.json"), "--out-dir", str(tmp_path / name)]
+        assert main([*argv, *options]) == 0
+        return json.loads((tmp_path / name / "result.json").read_text())
+
+    plain = attack("plain")
+    flagged = attack("flagged", "--k", "3", "--include-first-event")
+    again = attack("again")
+    assert first_event == [False, True, False]
+    assert flagged["config"]["k"] == 3
+    assert again == plain
+    assert again["config"]["k"] == 5
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        for seed in ("1", "2"):
+            out = tmp_path / f"g{seed}.json"
+            assert main(["make-grid", "--out", str(out), "--n", "3", "--seed", seed]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+
+
 @pytest.mark.parametrize(
     "option",
     [["--k", "0"], ["--sigma-ladder", "0.2,0.1"], ["--sigma-ladder", "abc"]],
@@ -367,6 +406,29 @@ def test_sweep_csv_shape_and_determinism(tmp_path):
     par = tmp_path / "sweep_par.csv"
     assert main(["sweep", "--out", str(par), *SWEEP_ARGS, "--workers", "2"]) == 0
     assert par.read_bytes() == out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "option",
+    [
+        ["--ks", "0"],
+        ["--ks", "1,x"],
+        ["--qs", "1"],
+        ["--sides-km", "-1"],
+        ["--sides-km", "0.9,0"],
+        ["--sides-km", "nan"],
+        ["--trials", "0"],
+        ["--workers", "0"],
+    ],
+)
+def test_sweep_rejects_bad_cell_values_before_any_trial(tmp_path, capsys, monkeypatch, option):
+    grids = []
+    monkeypatch.setattr(simulate, "make_synthetic_grid", lambda *a, **kw: grids.append(a))
+    argv = ["sweep", "--out", str(tmp_path / "s.csv"), *SWEEP_ARGS, *option]
+    assert main(argv) == 2
+    assert "kind=BadOption" in capsys.readouterr().err
+    assert grids == []
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_sweep_passes_every_match_option_to_the_attack(tmp_path, monkeypatch):

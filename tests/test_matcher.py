@@ -15,7 +15,6 @@ from canmatch.matcher import (
     AttackResult,
     CandidatePath,
     MatchConfig,
-    _graph_csr,
     brute_force_match,
     match_paths,
     result_from_dict,
@@ -379,7 +378,7 @@ def test_block_kernel_matches_reference_dfs(monkeypatch, block_rows):
     checked = 0
     for _ in range(20):
         g = random_graph(rng, int(rng.integers(9, 50)))
-        _ids, indptr, nbrs, lens, _keys = _graph_csr(g)
+        indptr, nbrs, lens = g.indptr, g.nbrs, g.lens
         n_edges = int(rng.integers(1, 5))
         path = some_path(g, n_edges + 1, rng)
         if path is None:
@@ -407,7 +406,7 @@ def test_block_kernel_matches_reference_dfs(monkeypatch, block_rows):
 def test_hostile_query_stops_at_the_cap_in_bounded_memory():
     # 40x40 grid, 15-node query at sigma 0.5: far more than 100k paths match
     g = make_synthetic_grid(40, 300.0, 0.1, seed=1)
-    _ids, indptr, nbrs, lens, _keys = _graph_csr(g)
+    indptr, nbrs, lens = g.indptr, g.nbrs, g.lens
     wr = np.full(14, 300.0)
     cap = 100_000
     out = np.empty(cap * 15, dtype=np.int64)

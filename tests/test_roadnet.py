@@ -1,7 +1,11 @@
 """Road-network parsing, serialization, and windowing."""
 from __future__ import annotations
 
+import importlib.util
 import json
+import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +33,13 @@ from canmatch.roadnet import (
 )
 from canmatch.simulate import make_synthetic_grid
 
-from helpers import M_TO_DEG_LON, equator_node
+from helpers import (
+    M_TO_DEG_LON,
+    equator_node,
+    reference_graph_csr,
+    reference_graph_json,
+    reference_road_graph,
+)
 from helpers import osm_xml as _osm
 
 
@@ -191,3 +201,183 @@ def test_bbox_idempotent():
     lon0 = float(np.mean([n.lon for n in g.nodes.values()]))
     once = bbox_filter(g, lat0, lon0, 0.4)
     assert bbox_filter(once, lat0, lon0, 0.4) == once
+
+
+# --- columnar graph against the dict-based constructor
+
+
+def _random_parts(rng: np.random.Generator, int_ids: bool = False, edgeless: bool = False):
+    """Unsorted ids with repeats, self loops, and parallel edges in both
+    orientations whose lengths often tie."""
+    n = int(rng.integers(1, 25))
+    names = rng.permutation(3 * n)[:n].tolist()
+    ids = names if int_ids else [f"v{x}" for x in names]
+
+    def coord() -> float:
+        return float(rng.uniform(-1.0, 1.0))
+
+    nodes = [RoadNode(nid, coord(), coord()) for nid in ids]
+    for _ in range(int(rng.integers(0, 4))):
+        nodes.append(RoadNode(ids[int(rng.integers(n))], coord(), coord()))
+    nodes = [nodes[i] for i in rng.permutation(len(nodes))]
+    edges = []
+    for _ in range(0 if edgeless else int(rng.integers(0, 3 * n))):
+        a, b = ids[int(rng.integers(n))], ids[int(rng.integers(n))]
+        w = float(rng.choice([50.0, 75.0, 100.0]))
+        edges.append(RoadEdge(a, b, w))
+        if rng.random() < 0.3:
+            edges.append(RoadEdge(b, a, float(rng.choice([w, 60.0]))))
+    return nodes, edges
+
+
+def _reference_adjacency(by_id: dict, edges: list[RoadEdge]) -> dict:
+    adj: dict = {nid: [] for nid in by_id}
+    for e in edges:
+        adj[e.u].append((e.v, e.length_m))
+        adj[e.v].append((e.u, e.length_m))
+    return {nid: sorted(lst) for nid, lst in adj.items()}
+
+
+def _error(fn, *args):
+    """Type and message of what fn raised, or None if it returned."""
+    try:
+        fn(*args)
+    except Exception as exc:  # the error itself is what the tests compare
+        return type(exc), str(exc)
+    return None
+
+
+def _reference_from_dict(doc: dict):
+    """graph_from_dict's row-by-row conversion, then the reference constructor."""
+    try:
+        nodes = [RoadNode(str(n["id"]), float(n["lat"]), float(n["lon"])) for n in doc["nodes"]]
+        edges = [
+            RoadEdge(str(e["u"]), str(e["v"]), float(e["length_m"])) for e in doc["edges"]
+        ]
+    except (KeyError, TypeError) as exc:
+        raise SchemaMismatch(f"graph document missing field: {exc}") from None
+    return reference_road_graph(nodes, edges)
+
+
+def _doc(nodes, edges) -> dict:
+    return {
+        "version": GRAPH_FORMAT_VERSION,
+        "nodes": [{"id": n.id, "lat": n.lat, "lon": n.lon} for n in nodes],
+        "edges": [{"u": e.u, "v": e.v, "length_m": e.length_m} for e in edges],
+    }
+
+
+def _assert_same_graph(g: RoadGraph, by_id: dict, edges: list[RoadEdge], tmp_path) -> None:
+    assert g.nodes == by_id
+    assert g.edges == edges  # RoadEdge equality includes the orientation
+    assert g.adjacency() == _reference_adjacency(by_id, edges)
+    if edges:
+        assert g.min_edge_length_m == min(e.length_m for e in edges)
+    else:
+        with pytest.raises(EmptyResult):
+            _ = g.min_edge_length_m
+    path = tmp_path / "g.json"
+    save_graph(g, path)
+    assert path.read_text(encoding="utf-8") == reference_graph_json(by_id, edges)
+    for got, want in zip((g.indptr, g.nbrs, g.lens, g.keys), reference_graph_csr(by_id, edges)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_columnar_graph_equals_dict_based_constructor(tmp_path):
+    rng = np.random.default_rng(17)
+    for trial in range(120):
+        nodes, edges = _random_parts(rng, int_ids=trial % 3 == 1, edgeless=trial % 10 == 0)
+        by_id, ref_edges = reference_road_graph(nodes, edges)
+        _assert_same_graph(RoadGraph(nodes, edges), by_id, ref_edges, tmp_path)
+        # integer ids in a document become strings, which sort as text
+        doc = _doc(nodes, edges)
+        by_id, ref_edges = _reference_from_dict(doc)
+        _assert_same_graph(graph_from_dict(doc), by_id, ref_edges, tmp_path)
+
+
+FAULTS = ("dangling", "nan_lat", "inf_lon", "nan_length", "inf_length", "zero", "negative")
+BAD_LENGTH = {"nan_length": math.nan, "inf_length": math.inf, "zero": 0.0, "negative": -5.0}
+
+
+def _inject(rng, nodes: list[RoadNode], edges: list[RoadEdge], kind: str) -> None:
+    if kind in ("nan_lat", "inf_lon"):
+        i = int(rng.integers(len(nodes)))
+        n = nodes[i]
+        lat, lon = (math.nan, n.lon) if kind == "nan_lat" else (n.lat, math.inf)
+        nodes[i] = RoadNode(n.id, lat, lon)
+        return
+    a, b = nodes[0].id, nodes[-1].id
+    if kind != "dangling":
+        bad = RoadEdge(a, b, BAD_LENGTH[kind])
+    else:
+        bad = [
+            RoadEdge(a, "ghost", 100.0),
+            RoadEdge("ghost", b, math.nan),  # the unknown end is reported, not the length
+            RoadEdge("ghost", "ghost", 1.0),  # a self loop is dropped unread
+        ][int(rng.choice(3, p=[0.5, 0.3, 0.2]))]
+    edges.insert(int(rng.integers(len(edges) + 1)), bad)
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_columnar_graph_rejects_bad_input_like_dict_based_constructor(fault):
+    rng = np.random.default_rng(sum(map(ord, fault)))
+    raised = 0
+    for _ in range(40):
+        nodes, edges = _random_parts(rng)
+        # the named fault, sometimes with others: the first in order must win
+        for kind in [fault] + [f for f in FAULTS if rng.random() < 0.2]:
+            _inject(rng, nodes, edges, kind)
+        doc = _doc(nodes, edges)
+        want = _error(reference_road_graph, nodes, edges)
+        assert _error(RoadGraph, nodes, edges) == want
+        assert _error(graph_from_dict, doc) == _error(_reference_from_dict, doc)
+        if want is None:
+            g = RoadGraph(nodes, edges)
+            assert (g.nodes, g.edges) == reference_road_graph(nodes, edges)
+        raised += want is not None
+    assert raised >= 20
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # the first faulty row decides, whichever column its fault is in
+        [{"id": "a", "lat": 0.0, "lon": None}, {"id": "b", "lon": 0.0}],
+        [{"id": "a", "lat": 0.0}, {"id": "b", "lat": "x", "lon": 0.0}],
+        [{"id": "a", "lat": 0.0, "lon": "x"}, {"lat": 0.0, "lon": 0.0}],
+        [{"id": "a", "lat": [], "lon": 0.0}],
+    ],
+)
+def test_malformed_document_raises_the_first_rows_error(rows):
+    doc = {"version": GRAPH_FORMAT_VERSION, "nodes": rows, "edges": []}
+    want = _error(_reference_from_dict, doc)
+    assert want is not None
+    assert _error(graph_from_dict, doc) == want
+
+
+def _load_checks():
+    path = Path(__file__).resolve().parent.parent / "pipebench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("pipebench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses resolve annotations through sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_reads_of_a_map_equal_its_json(tmp_path):
+    # the benchmark reads edge lengths and node coordinates through
+    # g.edges and g.nodes, on generated and on loaded maps
+    checks = _load_checks()
+    g = make_synthetic_grid(7, 300.0, 0.1, seed=9)
+    path = tmp_path / "map.json"
+    save_graph(g, path)
+    doc = json.loads(path.read_text())
+    lut = {}
+    for e in doc["edges"]:
+        lut[(e["u"], e["v"])] = e["length_m"]
+        lut[(e["v"], e["u"])] = e["length_m"]
+    coords = {n["id"]: (n["lon"], n["lat"]) for n in doc["nodes"]}
+    for graph in (g, load_graph(path)):
+        assert checks.edge_lengths(graph) == lut
+        assert {n.id: (n.lon, n.lat) for n in graph.nodes.values()} == coords
