@@ -154,12 +154,12 @@ def cmd_ingest_osm(args) -> int:
     config = _load_config(args.config)
     t0 = time.monotonic()
     g = roadnet.read_osm_xml(args.infile)
-    _log("ingest_osm", nodes=len(g.ids), edges=g.edge_u.size)
+    _log("ingest_osm", nodes=len(g.ids), edges=g.edge_count)
     bbox = _setting(args, config, "bbox", None)
     if bbox:
         lat, lon, side = _parse_floats(bbox) if isinstance(bbox, str) else tuple(bbox)
         g = roadnet.bbox_filter(g, lat, lon, side)
-        _log("bbox_filter", nodes=len(g.ids), edges=g.edge_u.size, side_km=side)
+        _log("bbox_filter", nodes=len(g.ids), edges=g.edge_count, side_km=side)
     roadnet.save_graph(g, args.out)
     _log("write_graph", path=args.out, elapsed_s=f"{time.monotonic() - t0:.3f}")
     return EXIT_OK
@@ -178,7 +178,7 @@ def cmd_make_grid(args) -> int:
         n, spacing, jitter, seed=seed, origin=tuple(origin)
     )
     roadnet.save_graph(g, args.out)
-    _log("make_grid", n=n, nodes=len(g.ids), edges=g.edge_u.size, path=args.out)
+    _log("make_grid", n=n, nodes=len(g.ids), edges=g.edge_count, path=args.out)
     return EXIT_OK
 
 

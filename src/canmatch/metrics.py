@@ -101,34 +101,28 @@ def false_negative_rate(result, gt: GroundTruth) -> float:
     return missed / (len(cands) * gt.q_star)
 
 
-def _pair_distances_m(gt_ids, cands, g) -> list[tuple[float, int]]:
-    """Per candidate: haversine summed over its pairs with the truth's
-    index-aligned nodes, best of both orientations, and the pair count."""
-    at = g.index([nid for ids in (gt_ids, *cands) for nid in ids])
-    lat, lon = g.lat[at].tolist(), g.lon[at].tolist()
-    q = len(gt_ids)
+def _pair_distance_m(gt_ids, cand_ids, g) -> tuple[float, int]:
+    """Summed haversine over index-aligned pairs, best of both orientations."""
+    n = min(len(gt_ids), len(cand_ids))
+    if len(gt_ids) != len(cand_ids):
+        warnings.warn(
+            f"pairing {len(cand_ids)}-node candidate against "
+            f"{len(gt_ids)}-node truth over first {n}",
+            PairingTruncated,
+            stacklevel=3,
+        )
+    gt = g.index(gt_ids[:n])
+    gt_lat, gt_lon = g.lat[gt].tolist(), g.lon[gt].tolist()
 
-    def total(c_lat, c_lon, n) -> float:
+    def total(seq) -> float:
         # pair by pair: haversine's scalar squares round differently from an array's
+        at = g.index(seq[:n])
         s = 0.0
-        for pair in zip(lat[:n], lon[:n], c_lat[:n], c_lon[:n]):
+        for pair in zip(gt_lat, gt_lon, g.lat[at].tolist(), g.lon[at].tolist()):
             s += float(haversine_m(*pair))
         return s
 
-    out = []
-    start = q
-    for ids in cands:
-        n = min(q, len(ids))
-        if q != len(ids):
-            warnings.warn(
-                f"pairing {len(ids)}-node candidate against {q}-node truth over first {n}",
-                PairingTruncated,
-                stacklevel=3,
-            )
-        c_lat, c_lon = lat[start : start + len(ids)], lon[start : start + len(ids)]
-        start += len(ids)
-        out.append((min(total(c_lat, c_lon, n), total(c_lat[::-1], c_lon[::-1], n)), n))
-    return out
+    return min(total(cand_ids), total(cand_ids[::-1])), n
 
 
 def distance_offset(result, gt: GroundTruth, g) -> float:
@@ -144,7 +138,8 @@ def distance_offset(result, gt: GroundTruth, g) -> float:
     if not cands:
         raise EmptyResult("no candidates to score")
     total = 0.0
-    for d, _n in _pair_distances_m(gt.node_ids, cands, g):
+    for ids in cands:
+        d, _n = _pair_distance_m(gt.node_ids, ids, g)
         total += d
     return total / (len(cands) * gt.q_star)
 
@@ -165,9 +160,10 @@ def evaluate(result, gt: GroundTruth, g) -> EvalReport:
     distance_total = 0.0
     # the totals accumulate in the standalone metrics' order, so the
     # report carries their exact values
-    for ids, (d, n) in zip(cands, _pair_distances_m(gt.node_ids, cands, g)):
+    for ids in cands:
         correct = len(set(ids) & gt_set)
         missed = len(gt_set - set(ids))
+        d, n = _pair_distance_m(gt.node_ids, ids, g)
         correct_total += correct
         missed_total += missed
         distance_total += d

@@ -6,7 +6,6 @@ carry the driven length in meters of the underlying way polyline.
 
 from __future__ import annotations
 
-import bisect
 import json
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
@@ -61,20 +60,18 @@ class RoadEdge:
         return (self.u, self.v) if self.u <= self.v else (self.v, self.u)
 
 
-_EDGE_ARRAYS = ("edge_u", "edge_v", "edge_length_m", "edge_reversed")
-
-
 class RoadGraph:
     """Immutable undirected graph with haversine edge lengths, held as arrays.
 
     Nodes are indexed in sorted-id order: ``ids``, ``lat`` and ``lon``.
-    Edges are canonical rows ``edge_u < edge_v`` (node indices) sorted by
-    that pair, with ``edge_length_m`` and ``edge_reversed``, which marks an
-    edge the input gave as (v, u). The same edges as CSR neighbour lists,
-    which the matcher searches: node i's neighbours are
-    ``nbrs[indptr[i]:indptr[i+1]]`` in ascending index order, with lengths
-    ``lens`` and slot keys ``keys = i*n + nbr``, which ascend, so the length
-    of edge (i, j) is ``lens[searchsorted(keys, i*n + j)]``.
+    Edges are CSR neighbour lists, which the matcher searches: node i's
+    neighbours are ``nbrs[indptr[i]:indptr[i+1]]`` in ascending index order,
+    with lengths ``lens`` and slot keys ``keys = i*n + nbr``, which ascend,
+    so the length of edge (i, j) is ``lens[searchsorted(keys, i*n + j)]``.
+    Each edge fills two slots; its canonical slot is the one with
+    ``nbr > i``, and those slots in key order are the edges sorted by
+    endpoint pair. ``edge_reversed`` marks, in that order, an edge the input
+    gave from its higher-index end.
 
     A repeated node id keeps its last row. Parallel edges between the same
     endpoints are collapsed to the shortest, the first one given on ties;
@@ -115,7 +112,7 @@ class RoadGraph:
         self.lat = lat[rows]
         self.lon = lon[rows]
 
-        index = {nid: i for i, nid in enumerate(self.ids)}
+        self._index = index = {nid: i for i, nid in enumerate(self.ids)}
         unknown: dict = {}
         u = _node_codes(us, index, unknown)
         v = _node_codes(vs, index, unknown)
@@ -141,40 +138,36 @@ class RoadGraph:
         head = np.ones(pair.size, dtype=np.bool_)
         head[1:] = pair[1:] != pair[:-1]
         pick = order[head]
-        self.edge_u, self.edge_v = lo[pick], hi[pick]
-        self.edge_length_m = w[pick]
         self.edge_reversed = (u > v)[pick]
 
-        eu, ev, ew = self.edge_u, self.edge_v, self.edge_length_m
+        eu, ev, ew = lo[pick], hi[pick], w[pick]
         keys = np.concatenate((eu * n + ev, ev * n + eu))
         slot = np.argsort(keys)
         self.keys = keys[slot]
         self.nbrs = np.concatenate((ev, eu))[slot]
         self.lens = np.concatenate((ew, ew))[slot]
         self.indptr = np.searchsorted(self.keys, np.arange(n + 1, dtype=np.int64) * n)
-        for name in ("lat", "lon", *_EDGE_ARRAYS, "keys", "nbrs", "lens", "indptr"):
+        for name in ("lat", "lon", "edge_reversed", "keys", "nbrs", "lens", "indptr"):
             getattr(self, name).flags.writeable = False
 
     @property
+    def edge_count(self) -> int:
+        return self.lens.size // 2
+
+    @property
     def min_edge_length_m(self) -> float:
-        if not self.edge_length_m.size:
+        if not self.lens.size:
             raise EmptyResult("graph has no edges")
-        return float(self.edge_length_m.min())
+        return float(self.lens.min())
 
     def index(self, node_ids) -> np.ndarray:
         """Positions of node_ids in ids. Raises KeyError for an id not in the graph."""
-        ids = self.ids
-        at = [bisect.bisect_left(ids, nid) for nid in node_ids]
-        for i, nid in zip(at, node_ids):
-            if i == len(ids) or ids[i] != nid:
-                raise KeyError(nid)
-        return np.array(at, dtype=np.int64)
+        return np.array([self._index[nid] for nid in node_ids], dtype=np.int64)
 
     def edge_slot(self, a, b) -> int:
         """CSR slot of the edge between node ids a and b, or -1 if there is none."""
-        try:
-            i, j = self.index((a, b)).tolist()
-        except KeyError:
+        i, j = self._index.get(a), self._index.get(b)
+        if i is None or j is None:
             return -1
         key = i * len(self.ids) + j
         slot = int(np.searchsorted(self.keys, key))
@@ -192,13 +185,13 @@ class RoadGraph:
     def edges(self) -> list[RoadEdge]:
         """Edge objects in canonical order and input orientation, built on each access."""
         ids = self.ids
+        rows = np.repeat(np.arange(len(ids)), np.diff(self.indptr))
+        canon = self.nbrs > rows
+        lo, hi = rows[canon], self.nbrs[canon]
         rev = self.edge_reversed
-        u = np.where(rev, self.edge_v, self.edge_u).tolist()
-        v = np.where(rev, self.edge_u, self.edge_v).tolist()
-        return [
-            RoadEdge(ids[a], ids[b], w)
-            for a, b, w in zip(u, v, self.edge_length_m.tolist())
-        ]
+        u = np.where(rev, hi, lo).tolist()
+        v = np.where(rev, lo, hi).tolist()
+        return [RoadEdge(ids[a], ids[b], w) for a, b, w in zip(u, v, self.lens[canon].tolist())]
 
     def adjacency(self) -> dict[str, list[tuple[str, float]]]:
         """Neighbor lists (neighbor id, edge length), sorted by neighbor id."""
@@ -216,23 +209,16 @@ class RoadGraph:
             return NotImplemented
         return self.ids == other.ids and all(
             np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("lat", "lon", *_EDGE_ARRAYS)
+            for name in ("lat", "lon", "keys", "lens", "edge_reversed")
         )
 
 
 def _node_codes(names, index: dict, unknown: dict) -> np.ndarray:
     """Node index of each id; an unknown id gets a negative code of its own."""
-    try:
-        return np.fromiter(map(index.__getitem__, names), np.int64, len(names))
-    except KeyError:
-        return np.fromiter(
-            (
-                index[x] if x in index else -1 - unknown.setdefault(x, len(unknown))
-                for x in names
-            ),
-            np.int64,
-            len(names),
-        )
+    return np.array(
+        [index[x] if x in index else -1 - unknown.setdefault(x, len(unknown)) for x in names],
+        dtype=np.int64,
+    )
 
 
 def _polyline_length_m(coords: list[tuple[float, float]]) -> float:
@@ -321,39 +307,22 @@ def graph_to_dict(g: RoadGraph) -> dict:
     }
 
 
-def _graph_columns(doc: dict) -> tuple:
-    """The document's node and edge fields as columns, converted as read."""
-    nodes = list(doc["nodes"])
-    edges = list(doc["edges"])
-    return (
-        [str(n["id"]) for n in nodes],
-        [float(n["lat"]) for n in nodes],
-        [float(n["lon"]) for n in nodes],
-        [str(e["u"]) for e in edges],
-        [str(e["v"]) for e in edges],
-        [float(e["length_m"]) for e in edges],
-    )
-
-
 def graph_from_dict(doc: dict) -> RoadGraph:
     if not isinstance(doc, dict) or "version" not in doc:
         raise SchemaMismatch("graph document has no version field")
     if doc["version"] != GRAPH_FORMAT_VERSION:
         raise VersionUnsupported(f"graph format version {doc['version']!r} unsupported")
     try:
-        try:
-            columns = _graph_columns(doc)
-        except (KeyError, TypeError, ValueError):
-            # columns convert field by field; converting row by row raises
-            # the error of the first faulty row, whatever column it is in
-            for n in doc["nodes"]:
-                str(n["id"]), float(n["lat"]), float(n["lon"])
-            for e in doc["edges"]:
-                str(e["u"]), str(e["v"]), float(e["length_m"])
-            raise
+        nodes = [(str(n["id"]), float(n["lat"]), float(n["lon"])) for n in doc["nodes"]]
+        edges = [(str(e["u"]), str(e["v"]), float(e["length_m"])) for e in doc["edges"]]
     except (KeyError, TypeError) as exc:
         raise SchemaMismatch(f"graph document missing field: {exc}") from None
-    return RoadGraph._from_columns(*columns)
+    return RoadGraph._from_columns(*_columns(nodes, 3), *_columns(edges, 3))
+
+
+def _columns(rows: list[tuple], width: int) -> tuple:
+    """Rows of equal width as that many column tuples."""
+    return tuple(zip(*rows)) if rows else ((),) * width
 
 
 def save_graph(g: RoadGraph, path) -> None:

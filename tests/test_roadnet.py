@@ -165,6 +165,23 @@ def test_dict_round_trip_structural_equality():
         assert graph_from_dict(graph_to_dict(g)) == g
 
 
+def test_graphs_differing_in_one_field_are_unequal():
+    nodes = [equator_node("a", 0.0), equator_node("b", 100.0), equator_node("c", 250.0)]
+    edges = [RoadEdge("a", "b", 100.0), RoadEdge("b", "c", 100.0)]
+    g = RoadGraph(nodes, edges)
+    assert RoadGraph(nodes, list(edges)) == g
+    variants = [
+        (nodes, [edges[0], RoadEdge("b", "c", 101.0)]),
+        (nodes, [edges[0], RoadEdge("c", "b", 100.0)]),
+        (nodes, [edges[0], RoadEdge("a", "c", 100.0)]),
+        (nodes, [*edges, RoadEdge("a", "c", 250.0)]),
+        ([*nodes[:2], equator_node("c", 260.0)], edges),
+        ([*nodes[:2], equator_node("d", 250.0)], [edges[0], RoadEdge("b", "d", 100.0)]),
+    ]
+    for vnodes, vedges in variants:
+        assert RoadGraph(vnodes, vedges) != g
+
+
 def test_bbox_superset_keeps_graph():
     g = make_synthetic_grid(4, 100.0, 0.0, seed=1)
     lat0 = float(np.mean([n.lat for n in g.nodes.values()]))
