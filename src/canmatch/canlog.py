@@ -204,11 +204,19 @@ def parse_can_csv(raw) -> CanLog:
 
 
 def read_can_csv(path) -> CanLog:
-    """Load a log from a file path; names ending in .gz are gunzipped."""
+    """Load a log from a file path; names ending in .gz are gunzipped.
+
+    Raises MalformedRow when the file is not UTF-8 text, and whatever
+    parse_can_csv raises.
+    """
     path = str(path)
     opener = gzip.open if path.endswith(".gz") else open
-    with opener(path, "rt", encoding="utf-8") as fh:
-        return parse_can_csv(fh.read())
+    try:
+        with opener(path, "rt", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(f"log file {path} is not UTF-8 text: {exc}") from None
+    return parse_can_csv(text)
 
 
 def to_csv(log: CanLog) -> str:

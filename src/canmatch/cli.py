@@ -262,6 +262,13 @@ def cmd_evaluate(args) -> int:
     with open(args.truth, "r", encoding="utf-8") as fh:
         gt = metrics.GroundTruth.from_dict(json.load(fh))
     g = roadnet.load_graph(args.graph)
+    # scoring looks every id up in the graph; an unknown one is an input error
+    known = set(g.ids)
+    named = [("result", nid) for c in result.candidates for nid in c.node_ids]
+    named += [("truth", nid) for nid in gt.node_ids]
+    for doc, nid in named:
+        if nid not in known:
+            raise DanglingNodeRef(f"{doc} names node {nid!r}, which is not in the graph")
     report = metrics.evaluate(result, gt, g)
     _write_json(report.to_dict(), args.out)
     fmt = lambda v: "na" if v is None else f"{v:.4f}"

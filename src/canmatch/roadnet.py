@@ -331,13 +331,41 @@ def save_graph(g: RoadGraph, path) -> None:
         fh.write(text)
 
 
+# (text, graph) of the last map load_graph decoded, or None
+_last_load: tuple[str, RoadGraph] | None = None
+
+
 def load_graph(path) -> RoadGraph:
+    """Read a graph file written by save_graph.
+
+    The graph is a function of the file's text alone, so when the text
+    equals that of the last map decoded, the graph built from it is
+    returned again: repeated loads may return the same object, which
+    callers must not mutate. A batch of logs attacked in one process
+    against one map decodes that map once.
+
+    Raises:
+        SchemaMismatch: the file is not UTF-8 text, not JSON, or not a graph.
+        VersionUnsupported: the file declares another format version.
+        DanglingNodeRef: an edge names a node that is not in the file.
+    """
+    global _last_load
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise SchemaMismatch(f"graph file {path} is not UTF-8 text: {exc}") from None
+    last = _last_load  # one read, so a concurrent miss cannot empty it mid-check
+    if last is not None and last[0] == text:
+        return last[1]
+    last = _last_load = None  # never hold two maps at once
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaMismatch(f"graph file is not valid JSON: {exc}") from None
-    return graph_from_dict(doc)
+    g = graph_from_dict(doc)
+    _last_load = (text, g)
+    return g
 
 
 def bbox_filter(g: RoadGraph, center_lat: float, center_lon: float, side_km: float) -> RoadGraph:

@@ -106,6 +106,15 @@ def test_parse_accepts_bytes_and_file_objects(tmp_path):
     assert from_bytes == from_file
 
 
+@pytest.mark.parametrize("name, opener", [("log.csv", open), ("log.csv.gz", gzip.open)])
+def test_read_non_utf8_file(tmp_path, name, opener):
+    p = tmp_path / name
+    with opener(p, "wb") as fh:
+        fh.write(_log_text(["0.0,speed,1", "0.0,pedal,\xff"]).encode("latin-1"))
+    with pytest.raises(MalformedRow, match="is not UTF-8 text"):
+        read_can_csv(p)
+
+
 def test_duplicate_timestamp_keeps_first():
     with pytest.warns(DuplicateTimestamp):
         log = parse_can_csv(

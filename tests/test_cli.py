@@ -302,6 +302,23 @@ def test_attack_on_non_finite_log_exits_input_error(pipeline, tmp_path, capsys, 
     assert "line 8: non-finite field" in capsys.readouterr().err
 
 
+def _args_besides_graph(command, pipeline, tmp_path, log=None) -> list[str]:
+    """Arguments besides --graph that run command on the shared scenario."""
+    log = str(log or pipeline / "drive.csv")
+    return {
+        "attack": ["--log", log, "--out-dir", str(tmp_path / "out")],
+        "build-trajectory": ["--log", log, "--out", str(tmp_path / "traj.json")],
+        "evaluate": [
+            "--result", str(pipeline / "attack" / "result.json"),
+            "--truth", str(pipeline / "truth.json"),
+            "--out", str(tmp_path / "report.json"),
+        ],
+        "simulate": [
+            "--out-log", str(tmp_path / "d.csv"), "--out-truth", str(tmp_path / "t.json"),
+        ],
+    }[command]
+
+
 @pytest.mark.parametrize("command", ["attack", "evaluate", "simulate"])
 @pytest.mark.parametrize(
     "part, field, value",
@@ -319,19 +336,57 @@ def test_non_finite_or_non_positive_graph_exits_input_error(
     doc[part][3][field] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    argv = {
-        "attack": ["--log", str(pipeline / "drive.csv"), "--out-dir", str(tmp_path / "out")],
-        "evaluate": [
-            "--result", str(pipeline / "attack" / "result.json"),
-            "--truth", str(pipeline / "truth.json"),
-            "--out", str(tmp_path / "report.json"),
-        ],
-        "simulate": [
-            "--out-log", str(tmp_path / "d.csv"), "--out-truth", str(tmp_path / "t.json"),
-        ],
-    }[command]
+    argv = _args_besides_graph(command, pipeline, tmp_path)
     assert main([command, "--graph", str(bad), *argv]) == 2
     assert "kind=SchemaMismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, bad_input, kind",
+    [
+        ("attack", "graph", "SchemaMismatch"),
+        ("build-trajectory", "graph", "SchemaMismatch"),
+        ("evaluate", "graph", "SchemaMismatch"),
+        ("simulate", "graph", "SchemaMismatch"),
+        ("attack", "log", "MalformedRow"),
+        ("build-trajectory", "log", "MalformedRow"),
+    ],
+)
+def test_non_utf8_input_exits_input_error(pipeline, tmp_path, capsys, command, bad_input, kind):
+    bad = tmp_path / "bad"
+    if bad_input == "graph":
+        bad.write_bytes(b'\xff\xfe{"version":1}')
+    else:
+        log_bytes = (pipeline / "drive.csv").read_bytes()
+        bad.write_bytes(log_bytes.replace(b",speed,", b",speed,\xff", 1))
+    graph = bad if bad_input == "graph" else pipeline / "grid.json"
+    log = bad if bad_input == "log" else pipeline / "drive.csv"
+    argv = _args_besides_graph(command, pipeline, tmp_path, log)
+    assert main([command, "--graph", str(graph), *argv]) == 2
+    err = capsys.readouterr().err
+    assert f"kind={kind}" in err
+    assert f"{bad} is not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("doc", ["result", "truth"])
+def test_evaluate_on_unknown_node_id_exits_input_error(pipeline, tmp_path, capsys, doc):
+    result = json.loads((pipeline / "attack" / "result.json").read_text())
+    truth = json.loads((pipeline / "truth.json").read_text())
+    (result["candidates"][0] if doc == "result" else truth)["node_ids"][2] = "ghost"
+    result_path, truth_path = tmp_path / "result.json", tmp_path / "truth.json"
+    result_path.write_text(json.dumps(result))
+    truth_path.write_text(json.dumps(truth))
+    rc = main(
+        [
+            "evaluate", "--result", str(result_path), "--truth", str(truth_path),
+            "--graph", str(pipeline / "grid.json"), "--out", str(tmp_path / "report.json"),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "kind=DanglingNodeRef" in err
+    assert f"{doc} names node 'ghost', which is not in the graph" in err
+    assert not (tmp_path / "report.json").exists()
 
 
 def _load_tracing():

@@ -4,12 +4,14 @@ from __future__ import annotations
 import importlib.util
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from canmatch import roadnet
 from canmatch.errors import (
     DanglingNodeRef,
     EmptyResult,
@@ -156,6 +158,115 @@ def test_load_wrong_version(tmp_path):
     p.write_text(json.dumps(doc))
     with pytest.raises(VersionUnsupported):
         load_graph(p)
+
+
+def test_load_non_utf8_file(tmp_path):
+    p = tmp_path / "g.json"
+    p.write_bytes(b'\xff\xfe{"version":1}')
+    with pytest.raises(SchemaMismatch, match="is not UTF-8 text"):
+        load_graph(p)
+
+
+# --- load_graph reuses the last graph it decoded while the file's text is unchanged
+
+
+def _spy_decodes(monkeypatch) -> list:
+    """Record each graph_from_dict call load_graph makes, with the memo at that moment."""
+    calls = []
+    real = roadnet.graph_from_dict
+
+    def spy(doc):
+        calls.append(roadnet._last_load)
+        return real(doc)
+
+    monkeypatch.setattr(roadnet, "graph_from_dict", spy)
+    return calls
+
+
+def test_repeat_load_returns_the_same_graph_without_decoding(tmp_path, monkeypatch):
+    p = tmp_path / "g.json"
+    save_graph(make_synthetic_grid(4, 200.0, 0.1, seed=21), p)
+    first = load_graph(p)
+    calls = _spy_decodes(monkeypatch)
+    assert load_graph(p) is first
+    assert calls == []
+
+
+def test_changed_text_of_equal_size_and_mtime_is_decoded_again(tmp_path):
+    g = make_synthetic_grid(4, 200.0, 0.1, seed=22)
+    p = tmp_path / "g.json"
+    save_graph(g, p)
+    before = p.stat()
+    assert load_graph(p) == g
+    # one digit of one edge length changes: same size, different graph
+    old = repr(g.edges[0].length_m)
+    new = old[:-1] + ("1" if old[-1] != "1" else "2")
+    changed = p.read_text().replace(f'"length_m": {old}', f'"length_m": {new}', 1)
+    p.write_text(changed)
+    os.utime(p, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = p.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    expected = graph_from_dict(json.loads(changed))
+    assert expected != g
+    assert load_graph(p) == expected
+
+
+def test_alternating_maps_load_correctly(tmp_path):
+    a, b = make_synthetic_grid(4, 200.0, 0.1, seed=23), make_synthetic_grid(5, 150.0, 0.2, seed=24)
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    save_graph(a, pa)
+    save_graph(b, pb)
+    assert [load_graph(p) for p in (pa, pb, pa, pa, pb)] == [a, b, a, a, b]
+
+
+def test_miss_drops_the_old_graph_before_decoding(tmp_path, monkeypatch):
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    save_graph(make_synthetic_grid(3, 200.0, 0.1, seed=25), pa)
+    save_graph(make_synthetic_grid(3, 200.0, 0.1, seed=26), pb)
+    load_graph(pa)
+    calls = _spy_decodes(monkeypatch)
+    load_graph(pb)
+    assert calls == [None]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            '{"version": 1, "nodes": [',
+            "graph file is not valid JSON: Expecting value: line 1 column 26 (char 25)",
+        ),
+        ('{"version": 1, "nodes": []}', "graph document missing field: 'edges'"),
+    ],
+)
+def test_malformed_map_after_a_good_one(tmp_path, text, message):
+    g = make_synthetic_grid(4, 200.0, 0.1, seed=27)
+    good, bad = tmp_path / "g.json", tmp_path / "bad.json"
+    save_graph(g, good)
+    good_text = good.read_text()
+    bad.write_text(text)
+    assert load_graph(good) == g
+    with pytest.raises(SchemaMismatch) as exc:
+        load_graph(bad)
+    assert str(exc.value) == message
+    assert load_graph(good) == g
+    # the decoded map's own file, now broken, fails the same way
+    good.write_text(text)
+    with pytest.raises(SchemaMismatch) as exc:
+        load_graph(good)
+    assert str(exc.value) == message
+    good.write_text(good_text)
+    assert load_graph(good) == g
+
+
+def test_crlf_map_loads_equal_to_its_lf_twin(tmp_path):
+    g = make_synthetic_grid(4, 200.0, 0.1, seed=28)
+    lf, crlf = tmp_path / "lf.json", tmp_path / "crlf.json"
+    save_graph(g, lf)
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    assert b"\r\n" in crlf.read_bytes()
+    assert load_graph(crlf) == g
+    assert load_graph(lf) == g
 
 
 def test_dict_round_trip_structural_equality():
