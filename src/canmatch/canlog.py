@@ -240,17 +240,3 @@ def write_can_csv(log: CanLog, path) -> None:
     opener = gzip.open if path.endswith(".gz") else open
     with opener(path, "wt", encoding="utf-8") as fh:
         fh.write(to_csv(log))
-
-
-def series_stats(log: CanLog) -> dict:
-    """Per-signal duration, sample-rate estimate, and counts.
-
-    Rate is count/duration; a single-sample series reports None.
-    """
-    out = {}
-    for name in SIGNALS:
-        series = getattr(log, name)
-        duration = float(series.times[-1] - series.times[0])
-        rate = series.count / duration if duration > 0 else None
-        out[name] = {"count": series.count, "duration_s": duration, "rate_hz": rate}
-    return out

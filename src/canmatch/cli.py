@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import functools
 import json
 import math
@@ -30,47 +31,15 @@ from .errors import (
     BadOption,
     CanMatchError,
     DanglingNodeRef,
-    EmptyLog,
-    EmptyResult,
-    InsufficientData,
-    MalformedRow,
-    NoDrivableWays,
-    NonMonotonicTime,
-    NoSuchPath,
+    InputError,
+    NothingProduced,
     SchemaMismatch,
-    TooFewNodes,
-    TrajectoryTooShort,
-    UnknownSignal,
-    VersionUnsupported,
-    XmlMalformed,
 )
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_EMPTY = 3
 EXIT_INVARIANT = 4
-
-_INPUT_ERRORS = (
-    BadOption,
-    EmptyLog,
-    MalformedRow,
-    UnknownSignal,
-    NonMonotonicTime,
-    XmlMalformed,
-    NoDrivableWays,
-    DanglingNodeRef,
-    SchemaMismatch,
-    VersionUnsupported,
-    OSError,
-    json.JSONDecodeError,
-)
-_EMPTY_ERRORS = (
-    TooFewNodes,
-    EmptyResult,
-    InsufficientData,
-    NoSuchPath,
-    TrajectoryTooShort,
-)
 
 
 def _log(stage: str, **kv) -> None:
@@ -84,111 +53,168 @@ def _write_json(doc: dict, path: str) -> None:
         fh.write(text)
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise SchemaMismatch("config file must hold a JSON object")
-    return doc
-
-
-def _setting(args, config: dict, name: str, default):
-    """Flag beats config file beats default."""
-    value = getattr(args, name.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if name in config:
-        return config[name]
-    return default
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in str(text).split(","))
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in str(text).split(","))
-
-
-def _profile_from(args, config: dict) -> simulate.DriveProfile:
-    dwell = _setting(args, config, "dwell-s", "4,8")
-    lo, hi = _parse_floats(dwell) if isinstance(dwell, str) else tuple(dwell)
-    return simulate.DriveProfile(
-        cruise_speed_mps=float(_setting(args, config, "cruise-mps", 10.0)),
-        sample_period_s=float(_setting(args, config, "sample-period-s", 0.1)),
-        stop_dwell_s=(lo, hi),
-        turn_slowdown=float(_setting(args, config, "turn-slowdown", 0.3)),
-        turn_window_s=float(_setting(args, config, "turn-window-s", 3.0)),
-        pedal_idle=float(_setting(args, config, "pedal-idle", 14.0)),
-        pedal_cruise=float(_setting(args, config, "pedal-cruise", 30.0)),
-        speed_noise_std=float(_setting(args, config, "noise-std", 0.0)),
-        stop_offset_m=float(_setting(args, config, "stop-offset-m", 0.0)),
-        event_pattern=str(_setting(args, config, "event-pattern", "alternate")),
-        seed=int(_setting(args, config, "seed", 0)),
-    )
-
-
-def _match_config_from(args, config: dict) -> matcher.MatchConfig:
+def _read_json(path: str, what: str, decode=None):
+    """The JSON document in a file named on the command line, through decode if given."""
     try:
-        ladder = _setting(args, config, "sigma-ladder", matcher.DEFAULT_SIGMA_LADDER)
-        if isinstance(ladder, str):
-            ladder = _parse_floats(ladder)
-        return matcher.MatchConfig(
-            sigma_ladder=tuple(ladder),
-            k=int(_setting(args, config, "k", 5)),
-            max_candidates=int(
-                _setting(args, config, "max-candidates", matcher.DEFAULT_MAX_CANDIDATES)
-            ),
-            allow_node_reuse=bool(_setting(args, config, "allow-node-reuse", False)),
-        )
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise SchemaMismatch(f"{what} file {path} is not UTF-8 text: {exc}") from None
+    try:
+        return decode(doc) if decode else doc
+    except (KeyError, TypeError) as exc:
+        msg = f"{what} file {path} has a missing or malformed field: {exc}"
+        raise SchemaMismatch(msg) from None
+
+
+# --- options ---
+
+
+def _tuple_of(kind):
+    """Converter of comma-separated flag text or a JSON list to a tuple of kind."""
+
+    def convert(value) -> tuple:
+        return tuple(kind(x) for x in (value.split(",") if isinstance(value, str) else value))
+
+    return convert
+
+
+_floats, _ints = _tuple_of(float), _tuple_of(int)
+
+
+def _switch(value) -> bool:
+    """A switch's value: the flag's True, or a config file's true or false."""
+    if not isinstance(value, bool):
+        raise TypeError(f"a switch takes true or false, not {value!r}")
+    return value
+
+
+# Each option once: the converter of its flag's text or its config value, and
+# the argparse settings of its flag (None: only a config file sets it).
+_OPTIONS = {
+    "bbox": (_floats, {"help": "lat,lon,side_km square window"}),
+    "n": (int, {}),
+    "spacing-m": (float, {}),
+    "jitter": (float, {}),
+    "seed": (int, {}),
+    "origin": (_floats, {"help": "lat,lon of grid corner"}),
+    "q": (int, {}),
+    "cruise-mps": (float, {}),
+    "sample-period-s": (float, {}),
+    "dwell-s": (_floats, {"help": "lo,hi stop dwell seconds"}),
+    "turn-slowdown": (float, {}),
+    "turn-window-s": (float, {}),
+    "pedal-idle": (float, {}),
+    "pedal-cruise": (float, {}),
+    "noise-std": (float, {"help": "speed noise stdev, m/s"}),
+    "stop-offset-m": (float, {}),
+    "event-pattern": (str, {"choices": simulate.EVENT_PATTERNS}),
+    "k": (int, {}),
+    "sigma-ladder": (_floats, {"help": "comma-separated ascending fractions"}),
+    "max-candidates": (int, {}),
+    "allow-node-reuse": (_switch, None),
+    "pedal-idle-tol": (float, {}),
+    "include-first-event": (_switch, {"action": "store_const", "const": True}),
+    "sides-km": (_floats, {"help": "comma-separated map sizes"}),
+    "qs": (_ints, {"help": "comma-separated route lengths"}),
+    "ks": (_ints, {"help": "comma-separated top-K values"}),
+    "trials": (int, {}),
+    "workers": (int, {}),
+    "grid-jitter": (float, {}),
+}
+
+# the options each library entry point takes
+_PROFILE = (
+    "cruise-mps", "sample-period-s", "dwell-s", "turn-slowdown", "turn-window-s",
+    "pedal-idle", "pedal-cruise", "noise-std", "stop-offset-m", "event-pattern",
+)
+_MATCH = ("k", "sigma-ladder", "max-candidates", "allow-node-reuse")
+_TRAJECTORY = ("pedal-idle-tol", "include-first-event")
+
+# library keywords not spelled like their option
+_KEYWORDS = {
+    "cruise-mps": "cruise_speed_mps", "dwell-s": "stop_dwell_s", "noise-std": "speed_noise_std",
+}
+
+
+def _options(args) -> dict:
+    """The options of args' command that a flag or the config file gave.
+
+    A flag beats the config file, and a null in the file leaves the option
+    unset. A config key that no command's option can take is an error; the
+    keys of other commands are ignored, so one file can serve every command.
+    """
+    config = _read_json(args.config, "config") if args.config else {}
+    if not isinstance(config, dict):
+        raise SchemaMismatch("config file must hold a JSON object")
+    for key in config:
+        if key not in _OPTIONS:
+            raise BadOption(f"unknown config key {key!r}")
+    opts = {}
+    for name in args.options:
+        value = getattr(args, name.replace("-", "_"), None)
+        if value is None:
+            value = config.get(name)
+        if value is not None:
+            with _option_values(name):
+                opts[name] = _OPTIONS[name][0](value)
+    return opts
+
+
+@contextlib.contextmanager
+def _option_values(name: str = "option"):
+    """Raise BadOption for a TypeError or ValueError of values built from options."""
+    try:
+        yield
     except (TypeError, ValueError) as exc:
-        raise BadOption(f"bad match option: {exc}") from exc
+        raise BadOption(f"bad {name} value: {exc}") from exc
+
+
+def _given(opts: dict, *names: str) -> dict:
+    """The given options among names, as the library's keyword arguments."""
+    return {_KEYWORDS.get(n, n.replace("-", "_")): opts[n] for n in names if n in opts}
 
 
 # --- subcommands ---
 
 
-def cmd_ingest_osm(args) -> int:
-    config = _load_config(args.config)
+def cmd_ingest_osm(args, opts) -> int:
+    bbox = opts.get("bbox")
+    if bbox is not None and (len(bbox) != 3 or not 0 < bbox[2] < math.inf):
+        raise BadOption("bbox must be lat,lon,side_km with a positive, finite side_km")
     t0 = time.monotonic()
     g = roadnet.read_osm_xml(args.infile)
     _log("ingest_osm", nodes=len(g.ids), edges=g.edge_count)
-    bbox = _setting(args, config, "bbox", None)
-    if bbox:
-        lat, lon, side = _parse_floats(bbox) if isinstance(bbox, str) else tuple(bbox)
-        g = roadnet.bbox_filter(g, lat, lon, side)
-        _log("bbox_filter", nodes=len(g.ids), edges=g.edge_count, side_km=side)
+    if bbox is not None:
+        g = roadnet.bbox_filter(g, *bbox)
+        _log("bbox_filter", nodes=len(g.ids), edges=g.edge_count, side_km=bbox[2])
     roadnet.save_graph(g, args.out)
     _log("write_graph", path=args.out, elapsed_s=f"{time.monotonic() - t0:.3f}")
     return EXIT_OK
 
 
-def cmd_make_grid(args) -> int:
-    config = _load_config(args.config)
-    n = int(_setting(args, config, "n", 10))
-    spacing = float(_setting(args, config, "spacing-m", 300.0))
-    jitter = float(_setting(args, config, "jitter", 0.1))
-    seed = int(_setting(args, config, "seed", 0))
-    origin = _setting(args, config, "origin", (0.0, 0.0))
-    if isinstance(origin, str):
-        origin = _parse_floats(origin)
-    g = simulate.make_synthetic_grid(
-        n, spacing, jitter, seed=seed, origin=tuple(origin)
-    )
+def cmd_make_grid(args, opts) -> int:
+    n = opts.get("n", 10)
+    with _option_values():
+        g = simulate.make_synthetic_grid(
+            n,
+            opts.get("spacing-m", 300.0),
+            opts.get("jitter", 0.1),
+            **_given(opts, "seed", "origin"),
+        )
     roadnet.save_graph(g, args.out)
     _log("make_grid", n=n, nodes=len(g.ids), edges=g.edge_count, path=args.out)
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    config = _load_config(args.config)
+def cmd_simulate(args, opts) -> int:
+    q = opts.get("q", 10)
+    if q < 2:
+        raise BadOption("q must be at least 2")
+    with _option_values():
+        profile = simulate.DriveProfile(**_given(opts, "seed", *_PROFILE))
     g = roadnet.load_graph(args.graph)
-    q = int(_setting(args, config, "q", 10))
-    seed = int(_setting(args, config, "seed", 0))
-    profile = _profile_from(args, config)
-    gt = simulate.sample_route(g, q, seed=seed)
+    gt = simulate.sample_route(g, q, **_given(opts, "seed"))
     scenario = simulate.synthesize_can(gt, g, profile)
     canlog.write_can_csv(scenario.log, args.out_log)
     _write_json(gt.to_dict(), args.out_truth)
@@ -203,41 +229,24 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _build_traj(args, config, log, g):
-    return trajgraph.build_trajectory(
-        log,
-        g.min_edge_length_m,
-        pedal_idle_tol=float(_setting(args, config, "pedal-idle-tol", 0.5)),
-        include_first_event=bool(
-            _setting(args, config, "include-first-event", False)
-        ),
-    )
-
-
-def cmd_build_trajectory(args) -> int:
-    config = _load_config(args.config)
+def cmd_build_trajectory(args, opts) -> int:
     log = canlog.read_can_csv(args.log)
     g = roadnet.load_graph(args.graph)
-    stats = canlog.series_stats(log)
-    _log(
-        "parse_log",
-        speed_rows=stats["speed"]["count"],
-        pedal_rows=stats["pedal"]["count"],
-    )
-    traj = _build_traj(args, config, log, g)
+    _log("parse_log", speed_rows=log.speed.count, pedal_rows=log.pedal.count)
+    traj = trajgraph.build_trajectory(log, g.min_edge_length_m, **_given(opts, *_TRAJECTORY))
     _write_json(traj.to_dict(), args.out)
     _log("build_trajectory", nodes=traj.node_count, edges=len(traj.edge_weights_m))
     return EXIT_OK
 
 
-def cmd_attack(args) -> int:
-    config = _load_config(args.config)
-    mcfg = _match_config_from(args, config)
+def cmd_attack(args, opts) -> int:
+    with _option_values():
+        mcfg = matcher.MatchConfig(**_given(opts, *_MATCH))
     t0 = time.monotonic()
     log = canlog.read_can_csv(args.log)
     g = roadnet.load_graph(args.graph)
     _log("parse", speed_rows=log.speed.count, graph_nodes=len(g.ids), kernel=backend())
-    traj = _build_traj(args, config, log, g)
+    traj = trajgraph.build_trajectory(log, g.min_edge_length_m, **_given(opts, *_TRAJECTORY))
     _log("build_trajectory", nodes=traj.node_count)
     result = matcher.run_attack(g, traj, mcfg)
     _log(
@@ -256,11 +265,9 @@ def cmd_attack(args) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
-    with open(args.result, "r", encoding="utf-8") as fh:
-        result = matcher.result_from_dict(json.load(fh))
-    with open(args.truth, "r", encoding="utf-8") as fh:
-        gt = metrics.GroundTruth.from_dict(json.load(fh))
+def cmd_evaluate(args, opts) -> int:
+    result = _read_json(args.result, "result", matcher.result_from_dict)
+    gt = _read_json(args.truth, "truth", metrics.GroundTruth.from_dict)
     g = roadnet.load_graph(args.graph)
     # scoring looks every id up in the graph; an unknown one is an input error
     known = set(g.ids)
@@ -314,52 +321,38 @@ def _sweep_trial(
         traj = trajgraph.build_trajectory(scenario.log, g.min_edge_length_m)
         result = matcher.run_attack(g, traj, mcfg)
         report = metrics.evaluate(result, gt, g)
-    except _EMPTY_ERRORS:
+    except NothingProduced:
         return (idx, 0.0, None, None, None, 0)
     if not result.candidates:
         return (idx, report.psi, None, None, None, 0)
     return (idx, report.psi, report.precision, report.offset_m, report.fnr, 1)
 
 
-def _sweep_settings(args, config: dict) -> tuple:
-    """The sweep's grid and run settings, checked before any trial runs."""
-    try:
-        sides = _setting(args, config, "sides-km", (1.5, 2.4, 3.3, 4.2))
-        if isinstance(sides, str):
-            sides = _parse_floats(sides)
-        qs = _setting(args, config, "qs", (5, 10, 15))
-        if isinstance(qs, str):
-            qs = _parse_ints(qs)
-        ks = _setting(args, config, "ks", (3,))
-        if isinstance(ks, str):
-            ks = _parse_ints(ks)
-        trials = int(_setting(args, config, "trials", 5))
-        workers = int(_setting(args, config, "workers", 1))
-        if not all(0 < s < math.inf for s in sides):
-            raise BadOption("sides-km values must be positive and finite")
-        if not all(q >= 2 for q in qs):
-            raise BadOption("qs values must be at least 2")
-        if not all(k >= 1 for k in ks):
-            raise BadOption("ks values must be at least 1")
-        if trials < 1 or workers < 1:
-            raise BadOption("trials and workers must be at least 1")
-    except (TypeError, ValueError) as exc:
-        raise BadOption(f"bad sweep option: {exc}") from exc
-    return sides, qs, ks, trials, workers
-
-
-def cmd_sweep(args) -> int:
-    config = _load_config(args.config)
-    sides, qs, ks, trials, workers = _sweep_settings(args, config)
-    master = int(_setting(args, config, "seed", 0))
-    spacing = float(_setting(args, config, "spacing-m", 300.0))
-    grid_jitter = float(_setting(args, config, "grid-jitter", 0.1))
-    profile = _profile_from(args, config)
-    mcfg = _match_config_from(args, config)
+def cmd_sweep(args, opts) -> int:
+    sides = opts.get("sides-km", (1.5, 2.4, 3.3, 4.2))
+    qs = opts.get("qs", (5, 10, 15))
+    ks = opts.get("ks", (3,))
+    trials = opts.get("trials", 5)
+    workers = opts.get("workers", 1)
+    master = opts.get("seed", 0)
+    spacing = opts.get("spacing-m", 300.0)
+    grid_jitter = opts.get("grid-jitter", 0.1)
+    if not all(0 < s < math.inf for s in sides):
+        raise BadOption("sides-km values must be positive and finite")
+    if not all(q >= 2 for q in qs):
+        raise BadOption("qs values must be at least 2")
+    if trials < 1 or workers < 1:
+        raise BadOption("trials and workers must be at least 1")
+    with _option_values():
+        profile = simulate.DriveProfile(**_given(opts, *_PROFILE))
+        mcfg = matcher.MatchConfig(**_given(opts, *_MATCH))
+        config_of_k = {k: replace(mcfg, k=k) for k in ks}
+        # rejects the spacing and jitter that every trial's grid would reject
+        simulate.make_synthetic_grid(2, spacing, grid_jitter)
 
     cells = [(s, q, k) for s in sides for q in qs for k in ks]
     tasks = [
-        (ci * trials + trial, side_km, q, trial, replace(mcfg, k=k))
+        (ci * trials + trial, side_km, q, trial, config_of_k[k])
         for ci, (side_km, q, k) in enumerate(cells)
         for trial in range(trials)
     ]
@@ -405,9 +398,39 @@ def cmd_sweep(args) -> int:
 
 # --- argument wiring ---
 
+# command: (help, function, required path flags, options in --help order)
+_COMMANDS = {
+    "ingest-osm": ("OSM XML to road-graph JSON", cmd_ingest_osm, ("in", "out"), ("bbox",)),
+    "make-grid": (
+        "synthetic jittered grid graph", cmd_make_grid, ("out",),
+        ("n", "spacing-m", "jitter", "seed", "origin"),
+    ),
+    "simulate": (
+        "drive a random route, write CAN log", cmd_simulate,
+        ("graph", "out-log", "out-truth"), ("q", "seed", *_PROFILE),
+    ),
+    "build-trajectory": (
+        "CAN log to trajectory JSON", cmd_build_trajectory, ("log", "graph", "out"), _TRAJECTORY,
+    ),
+    "attack": (
+        "log + graph to ranked candidate paths", cmd_attack,
+        ("log", "graph", "out-dir"), (*_MATCH, *_TRAJECTORY),
+    ),
+    "evaluate": (
+        "score a result against ground truth", cmd_evaluate,
+        ("result", "truth", "graph", "out"), (),
+    ),
+    "sweep": (
+        "grid of synthetic experiments to CSV", cmd_sweep, ("out",),
+        (
+            "sides-km", "qs", "ks", "trials", "seed", "workers", "spacing-m", "grid-jitter",
+            "sigma-ladder", "max-candidates", "allow-node-reuse", *_PROFILE,
+        ),
+    ),
+}
 
-def _add_config(p) -> None:
-    p.add_argument("--config", help="JSON file of option defaults")
+# (command, option) flags that --help lists without their help line
+_BARE = {("sweep", "sigma-ladder")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,93 +439,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="CAN-log trajectory reconstruction and road-network matching",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest-osm", help="OSM XML to road-graph JSON")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--bbox", help="lat,lon,side_km square window")
-    _add_config(p)
-    p.set_defaults(func=cmd_ingest_osm)
-
-    p = sub.add_parser("make-grid", help="synthetic jittered grid graph")
-    p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--spacing-m", type=float)
-    p.add_argument("--jitter", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--origin", help="lat,lon of grid corner")
-    _add_config(p)
-    p.set_defaults(func=cmd_make_grid)
-
-    p = sub.add_parser("simulate", help="drive a random route, write CAN log")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--out-log", required=True)
-    p.add_argument("--out-truth", required=True)
-    p.add_argument("--q", type=int)
-    p.add_argument("--seed", type=int)
-    _add_profile_flags(p)
-    _add_config(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("build-trajectory", help="CAN log to trajectory JSON")
-    p.add_argument("--log", required=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--pedal-idle-tol", type=float)
-    p.add_argument("--include-first-event", action="store_const", const=True)
-    _add_config(p)
-    p.set_defaults(func=cmd_build_trajectory)
-
-    p = sub.add_parser("attack", help="log + graph to ranked candidate paths")
-    p.add_argument("--log", required=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--sigma-ladder", help="comma-separated ascending fractions")
-    p.add_argument("--max-candidates", type=int)
-    p.add_argument("--pedal-idle-tol", type=float)
-    p.add_argument("--include-first-event", action="store_const", const=True)
-    _add_config(p)
-    p.set_defaults(func=cmd_attack)
-
-    p = sub.add_parser("evaluate", help="score a result against ground truth")
-    p.add_argument("--result", required=True)
-    p.add_argument("--truth", required=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--out", required=True)
-    _add_config(p)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("sweep", help="grid of synthetic experiments to CSV")
-    p.add_argument("--out", required=True)
-    p.add_argument("--sides-km", help="comma-separated map sizes")
-    p.add_argument("--qs", help="comma-separated route lengths")
-    p.add_argument("--ks", help="comma-separated top-K values")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--spacing-m", type=float)
-    p.add_argument("--grid-jitter", type=float)
-    p.add_argument("--sigma-ladder")
-    p.add_argument("--max-candidates", type=int)
-    _add_profile_flags(p)
-    _add_config(p)
-    p.set_defaults(func=cmd_sweep)
-
+    for command, (help_text, func, paths, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for path in paths:
+            # `in` is a Python keyword, so its value is read as args.infile
+            p.add_argument(f"--{path}", dest="infile" if path == "in" else None, required=True)
+        for name in names:
+            flag = _OPTIONS[name][1]
+            if flag is not None:
+                bare = (command, name) in _BARE
+                p.add_argument(f"--{name}", **(dict(flag, help=None) if bare else flag))
+        p.add_argument("--config", help="JSON file of option defaults")
+        p.set_defaults(func=func, options=names)
     return ap
-
-
-def _add_profile_flags(p) -> None:
-    p.add_argument("--cruise-mps", type=float)
-    p.add_argument("--sample-period-s", type=float)
-    p.add_argument("--dwell-s", help="lo,hi stop dwell seconds")
-    p.add_argument("--turn-slowdown", type=float)
-    p.add_argument("--turn-window-s", type=float)
-    p.add_argument("--pedal-idle", type=float)
-    p.add_argument("--pedal-cruise", type=float)
-    p.add_argument("--noise-std", type=float, help="speed noise stdev, m/s")
-    p.add_argument("--stop-offset-m", type=float)
-    p.add_argument("--event-pattern", choices=simulate.EVENT_PATTERNS)
 
 
 @functools.cache
@@ -514,19 +463,17 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
-    except _INPUT_ERRORS as exc:
-        _log("error", kind=type(exc).__name__, exit=EXIT_INPUT)
+        return args.func(args, _options(args))
+    except (CanMatchError, OSError, ValueError) as exc:
+        if isinstance(exc, (InputError, OSError, json.JSONDecodeError)):
+            code = EXIT_INPUT
+        elif isinstance(exc, NothingProduced):
+            code = EXIT_EMPTY
+        else:
+            code = EXIT_INVARIANT
+        _log("error", kind=type(exc).__name__, exit=code)
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except _EMPTY_ERRORS as exc:
-        _log("error", kind=type(exc).__name__, exit=EXIT_EMPTY)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
-    except (CanMatchError, ValueError) as exc:
-        _log("error", kind=type(exc).__name__, exit=EXIT_INVARIANT)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+        return code
 
 
 if __name__ == "__main__":

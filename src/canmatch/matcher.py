@@ -94,13 +94,6 @@ class AttackResult:
 
 def result_from_dict(doc: dict) -> AttackResult:
     """Rebuild an AttackResult from its JSON form."""
-    cfg = doc.get("config", {})
-    config = MatchConfig(
-        sigma_ladder=tuple(cfg.get("sigma_ladder", DEFAULT_SIGMA_LADDER)),
-        k=int(cfg.get("k", 5)),
-        max_candidates=int(cfg.get("max_candidates", DEFAULT_MAX_CANDIDATES)),
-        allow_node_reuse=bool(cfg.get("allow_node_reuse", False)),
-    )
     candidates = [
         CandidatePath(
             node_ids=tuple(c["node_ids"]),
@@ -115,7 +108,7 @@ def result_from_dict(doc: dict) -> AttackResult:
     return AttackResult(
         candidates=candidates,
         trajectory=trajectory,
-        config=config,
+        config=MatchConfig(**doc.get("config", {})),
         sigma_used=doc.get("sigma_used"),
         truncated=bool(doc.get("truncated", False)),
     )

@@ -317,6 +317,8 @@ def graph_from_dict(doc: dict) -> RoadGraph:
         edges = [(str(e["u"]), str(e["v"]), float(e["length_m"])) for e in doc["edges"]]
     except (KeyError, TypeError) as exc:
         raise SchemaMismatch(f"graph document missing field: {exc}") from None
+    except ValueError as exc:
+        raise SchemaMismatch(f"graph document has a non-numeric field: {exc}") from None
     return RoadGraph._from_columns(*_columns(nodes, 3), *_columns(edges, 3))
 
 

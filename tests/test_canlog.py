@@ -14,7 +14,6 @@ from canmatch.canlog import (
     SpeedSeries,
     parse_can_csv,
     read_can_csv,
-    series_stats,
     to_csv,
     write_can_csv,
 )
@@ -167,28 +166,6 @@ def test_file_round_trip_plain_and_gz(tmp_path):
     assert read_can_csv(gzed) == log
     with gzip.open(gzed, "rt") as fh:
         assert fh.readline().strip() == HEADER
-
-
-def test_series_stats_rate():
-    times = np.arange(1001) * 0.1
-    log = CanLog(
-        speed=SpeedSeries(times=times, values=np.ones(times.size)),
-        pedal=PedalSeries(times=times.copy(), values=np.ones(times.size)),
-    )
-    stats = series_stats(log)
-    assert stats["speed"]["count"] == 1001
-    assert stats["speed"]["duration_s"] == pytest.approx(100.0)
-    assert stats["speed"]["rate_hz"] == pytest.approx(10.0, rel=0.01)
-
-
-def test_series_stats_single_sample_rate_undefined():
-    log = CanLog(
-        speed=SpeedSeries(times=np.array([3.0]), values=np.array([1.0])),
-        pedal=PedalSeries(times=np.array([3.0]), values=np.array([1.0])),
-    )
-    stats = series_stats(log)
-    assert stats["speed"]["duration_s"] == 0.0
-    assert stats["speed"]["rate_hz"] is None
 
 
 def test_duration_property():

@@ -232,7 +232,7 @@ def test_reused_parser_leaks_no_option_between_calls(pipeline, tmp_path, monkeyp
     real = trajgraph.build_trajectory
 
     def spy(*args, **kwargs):
-        first_event.append(kwargs["include_first_event"])
+        first_event.append(kwargs.get("include_first_event", False))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(trajgraph, "build_trajectory", spy)
@@ -285,6 +285,59 @@ def test_attack_rejects_bad_match_option_before_reading_input(
     assert "stage=parse" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("make-grid", "--n 1"),
+        ("make-grid", "--jitter 0.7"),
+        ("make-grid", "--origin 1"),
+        ("simulate", "--q 1"),
+        ("simulate", "--cruise-mps -1"),
+        ("simulate", "--dwell-s 1,2,3"),
+        ("ingest-osm", "--bbox 0,0,0"),
+        ("ingest-osm", "--bbox 1,2"),
+        ("sweep", "--grid-jitter 0.7"),
+    ],
+)
+def test_bad_option_values_exit_before_any_input_is_read(tmp_path, capsys, command, option):
+    # the input does not exist, so reading it first would fail as FileNotFoundError
+    missing, out = str(tmp_path / "missing"), str(tmp_path / "out")
+    argv = {
+        "make-grid": ["--out", out],
+        "simulate": ["--graph", missing, "--out-log", out, "--out-truth", out],
+        "ingest-osm": ["--in", missing, "--out", out],
+        "sweep": ["--out", out],
+    }[command]
+    assert main([command, *argv, *option.split()]) == 2
+    assert "kind=BadOption" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "config, named",
+    [({"sigma_ladder": [0.1]}, "'sigma_ladder'"), ({"allow-node-reuse": "false"}, "'false'")],
+)
+def test_config_key_no_option_takes_or_non_boolean_switch_exits_input_error(
+    pipeline, tmp_path, capsys, config, named
+):
+    def attack(config: dict) -> int:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["attack", "--log", str(pipeline / "drive.csv"), "--config", str(cfg)]
+        argv += ["--graph", str(pipeline / "grid.json"), "--out-dir", str(tmp_path / "out")]
+        return main(argv)
+
+    assert attack(config) == 2
+    err = capsys.readouterr().err
+    assert "kind=BadOption" in err
+    assert named in err
+    assert not (tmp_path / "out").exists()
+    # keys of other commands are accepted, so one file can serve every command
+    assert attack({"sigma-ladder": [0.1], "n": 3, "bbox": [0, 0, 1]}) == 0
+    doc = json.loads((tmp_path / "out" / "result.json").read_text())
+    assert doc["config"]["sigma_ladder"] == [0.1]
+
+
 @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
 def test_attack_on_non_finite_log_exits_input_error(pipeline, tmp_path, capsys, field):
     lines = (pipeline / "drive.csv").read_text().splitlines()
@@ -327,6 +380,8 @@ def _args_besides_graph(command, pipeline, tmp_path, log=None) -> list[str]:
         ("edges", "length_m", math.inf),
         ("edges", "length_m", -5.0),
         ("nodes", "lat", math.nan),
+        ("nodes", "lat", "abc"),
+        ("edges", "length_m", "abc"),
     ],
 )
 def test_non_finite_or_non_positive_graph_exits_input_error(
@@ -350,19 +405,26 @@ def test_non_finite_or_non_positive_graph_exits_input_error(
         ("simulate", "graph", "SchemaMismatch"),
         ("attack", "log", "MalformedRow"),
         ("build-trajectory", "log", "MalformedRow"),
+        ("attack", "config", "SchemaMismatch"),
+        ("evaluate", "result", "SchemaMismatch"),
+        ("evaluate", "truth", "SchemaMismatch"),
     ],
 )
 def test_non_utf8_input_exits_input_error(pipeline, tmp_path, capsys, command, bad_input, kind):
     bad = tmp_path / "bad"
-    if bad_input == "graph":
-        bad.write_bytes(b'\xff\xfe{"version":1}')
-    else:
+    if bad_input == "log":
         log_bytes = (pipeline / "drive.csv").read_bytes()
         bad.write_bytes(log_bytes.replace(b",speed,", b",speed,\xff", 1))
-    graph = bad if bad_input == "graph" else pipeline / "grid.json"
-    log = bad if bad_input == "log" else pipeline / "drive.csv"
-    argv = _args_besides_graph(command, pipeline, tmp_path, log)
-    assert main([command, "--graph", str(graph), *argv]) == 2
+    else:
+        bad.write_bytes(b'\xff\xfe{"version":1}')
+    argv = [command, "--graph", str(pipeline / "grid.json")]
+    argv += _args_besides_graph(command, pipeline, tmp_path)
+    flag = f"--{bad_input}"
+    if flag in argv:
+        argv[argv.index(flag) + 1] = str(bad)
+    else:
+        argv += [flag, str(bad)]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"kind={kind}" in err
     assert f"{bad} is not UTF-8 text" in err
@@ -386,6 +448,32 @@ def test_evaluate_on_unknown_node_id_exits_input_error(pipeline, tmp_path, capsy
     err = capsys.readouterr().err
     assert "kind=DanglingNodeRef" in err
     assert f"{doc} names node 'ghost', which is not in the graph" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "doc, fault",
+    [("result", "no candidates"), ("result", "unknown config key"), ("truth", "no node ids")],
+)
+def test_evaluate_on_malformed_document_exits_input_error(pipeline, tmp_path, capsys, doc, fault):
+    paths = {"result": pipeline / "attack" / "result.json", "truth": pipeline / "truth.json"}
+    bad = json.loads(paths[doc].read_text())
+    if fault == "unknown config key":
+        bad["config"]["sigma"] = 0.1
+    else:
+        del bad["candidates" if doc == "result" else "node_ids"]
+    paths[doc] = tmp_path / f"{doc}.json"
+    paths[doc].write_text(json.dumps(bad))
+    rc = main(
+        [
+            "evaluate", "--result", str(paths["result"]), "--truth", str(paths["truth"]),
+            "--graph", str(pipeline / "grid.json"), "--out", str(tmp_path / "report.json"),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "kind=SchemaMismatch" in err
+    assert f"{doc} file {paths[doc]} has a missing or malformed field" in err
     assert not (tmp_path / "report.json").exists()
 
 

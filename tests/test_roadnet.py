@@ -384,6 +384,8 @@ def _reference_from_dict(doc: dict):
         ]
     except (KeyError, TypeError) as exc:
         raise SchemaMismatch(f"graph document missing field: {exc}") from None
+    except ValueError as exc:
+        raise SchemaMismatch(f"graph document has a non-numeric field: {exc}") from None
     return reference_road_graph(nodes, edges)
 
 
