@@ -254,6 +254,21 @@ def reference_parse_can_csv(text: str) -> CanLog:
     return CanLog(speed=series[0], pedal=series[1])
 
 
+def reference_to_csv(log: CanLog) -> str:
+    """Row-by-row serializer with to_csv's contract.
+
+    Rows are sorted by (time, signal, position in the series) and each is
+    written with its own f-string, floats by repr.
+    """
+    rows = [
+        (t, s, i, v)
+        for s, series in enumerate((log.speed, log.pedal))
+        for i, (t, v) in enumerate(zip(series.times.tolist(), series.values.tolist()))
+    ]
+    rows.sort(key=lambda r: r[:3])
+    return HEADER + "\n" + "".join(f"{t!r},{SIGNALS[s]},{v!r}\n" for t, s, _, v in rows)
+
+
 def reference_merge_nodes(
     nodes: list[TrajectoryNode], speed: SpeedSeries, min_edge_m: float
 ) -> list[TrajectoryNode]:

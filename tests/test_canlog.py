@@ -26,7 +26,7 @@ from canmatch.errors import (
     UnknownSignal,
 )
 
-from helpers import reference_parse_can_csv
+from helpers import reference_parse_can_csv, reference_to_csv
 
 
 def _log_text(rows: list[str]) -> str:
@@ -166,6 +166,34 @@ def test_file_round_trip_plain_and_gz(tmp_path):
     assert read_can_csv(gzed) == log
     with gzip.open(gzed, "rt") as fh:
         assert fh.readline().strip() == HEADER
+
+
+def test_to_csv_matches_per_row_reference():
+    # -0.0 and 0.0 compare equal but print differently; repeated values and
+    # times recur across rows and across the two signals
+    pool = np.array([0.0, -0.0, 0.1, 0.30000000000000004, 1 / 3, 36.0, 5e-324, 1e22, 14.0])
+    rng = np.random.default_rng(8)
+    for trial in range(60):
+        n_s, n_p = (int(x) for x in rng.integers(1, 40, size=2))
+
+        def column(n):
+            fresh = rng.uniform(0, 120, size=n)
+            return np.where(rng.random(n) < 0.6, rng.choice(pool, size=n), fresh)
+
+        log = CanLog(
+            speed=SpeedSeries(times=column(n_s), values=column(n_s)),
+            pedal=PedalSeries(times=column(n_p), values=column(n_p)),
+        )
+        assert to_csv(log) == reference_to_csv(log)
+    fixed = CanLog(
+        speed=SpeedSeries(times=np.array([0.0, -0.0, 0.1]), values=np.array([-0.0, 0.0, -0.0])),
+        pedal=PedalSeries(times=np.array([-0.0, 0.1]), values=np.array([0.0, 0.0])),
+    )
+    assert to_csv(fixed) == (
+        HEADER + "\n0.0,speed,-0.0\n-0.0,speed,0.0\n-0.0,pedal,0.0\n"
+        "0.1,speed,-0.0\n0.1,pedal,0.0\n"
+    )
+    assert to_csv(fixed) == reference_to_csv(fixed)
 
 
 def test_duration_property():

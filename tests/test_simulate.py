@@ -1,6 +1,7 @@
 """Simulator tests: grids, routes, and CAN log synthesis."""
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from canmatch import (
     make_synthetic_grid,
     run_attack,
     sample_route,
+    save_graph,
     synthesize_can,
 )
 from canmatch.canlog import to_csv
@@ -213,3 +215,47 @@ def test_route_hopping_missing_edge_rejected():
     fake = GroundTruth(node_ids=("n0", "n2"))
     with pytest.raises(ValueError):
         synthesize_can(fake, g, DriveProfile())
+
+
+# --- pinned bytes
+# SHA-256 of the text the simulator and the writers produce today. Any change
+# to the draws, the arithmetic or the formatting of a drive or a map shows here.
+
+LOG_SHA256 = {
+    "noise_free": ({}, "ae3efa44002d83912709f35c8249924ea03c28d7c41fa5cf492c5af9e4795163"),
+    "stop_offset": (
+        {"stop_offset_m": 10.0},
+        "69989ed48abbdf874087bb125b4fab226519bdad0f7904d2e1ea7342cf77608d",
+    ),
+    "speed_noise": (
+        {"speed_noise_std": 0.2},
+        "d3ff586d5a897cf6ca7a2090df1c03488e035a0e7f991b1ff95751f953272204",
+    ),
+    "stops": (
+        {"event_pattern": "stops"},
+        "f82f1ce38b55f8f46daa08c1471f9566a726a9581edcf3837ee552428372993b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOG_SHA256))
+def test_synthesized_log_bytes_are_pinned(name):
+    kwargs, want = LOG_SHA256[name]
+    g = make_synthetic_grid(9, 300.0, 0.1, seed=3)
+    gt = sample_route(g, 8, seed=3)
+    assert gt.node_ids == ("n7_2", "n6_2", "n5_2", "n5_3", "n5_4", "n5_5", "n6_5", "n6_4")
+    text = to_csv(synthesize_can(gt, g, DriveProfile(seed=11, **kwargs)).log)
+    assert hashlib.sha256(text.encode()).hexdigest() == want
+
+
+@pytest.mark.parametrize(
+    "n, seed, want",
+    [
+        (9, 3, "8c7a8106e0b2818d0eda3c58ab614186a3e33a197c894f8854eab28df8e3ee74"),
+        (40, 5, "738ab9886d8f05ed441c84cc28df9d7847812f8ede7515bc3344c876d3f77b20"),
+    ],
+)
+def test_grid_map_bytes_are_pinned(tmp_path, n, seed, want):
+    path = tmp_path / "grid.json"
+    save_graph(make_synthetic_grid(n, 300.0, 0.1, seed=seed), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == want
