@@ -219,6 +219,19 @@ def read_can_csv(path) -> CanLog:
     return parse_can_csv(text)
 
 
+def _reprs(column: np.ndarray) -> np.ndarray:
+    """repr() of every float in column, formatting each distinct one once.
+
+    Distinct means distinct bits, so -0.0 and 0.0 keep their own spellings.
+    """
+    uniq, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    if not uniq.size:
+        return np.empty(0, dtype=object)
+    # the repr of a list of floats is the floats' reprs joined by ", "
+    text = repr(uniq.view(np.float64).tolist())[1:-1].split(", ")
+    return np.array(text, dtype=object)[inverse]
+
+
 def to_csv(log: CanLog) -> str:
     """Serialize a CanLog back to CSV text.
 
@@ -228,15 +241,28 @@ def to_csv(log: CanLog) -> str:
     s, p = log.speed, log.pedal
     times = np.concatenate((s.times, p.times), dtype=np.float64)
     values = np.concatenate((s.values, p.values), dtype=np.float64)
-    signal = np.repeat(np.array(SIGNALS), (s.count, p.count))
+    is_pedal = np.repeat((False, True), (s.count, p.count))
     # stable: rows equal in time and signal keep series order
-    order = np.lexsort((signal == SIGNALS[1], times))
-    rows = zip(times[order].tolist(), signal[order].tolist(), values[order].tolist())
-    return HEADER + "\n" + "".join([f"{t!r},{sig},{v!r}\n" for t, sig, v in rows])
+    order = np.lexsort((is_pedal, times))
+    cells = np.empty((order.size, 4), dtype=object)
+    cells[:, 0] = _reprs(times[order])
+    separators = np.array([f",{sig}," for sig in SIGNALS], dtype=object)
+    cells[:, 1] = separators[is_pedal[order].astype(np.intp)]
+    cells[:, 2] = _reprs(values[order])
+    cells[:, 3] = "\n"
+    return HEADER + "\n" + "".join(cells.ravel().tolist())
 
 
 def write_can_csv(log: CanLog, path) -> None:
+    """Write to_csv(log) to a file; names ending in .gz are gzipped.
+
+    The gzip header's timestamp is zero, so a log always writes the same bytes.
+    """
     path = str(path)
-    opener = gzip.open if path.endswith(".gz") else open
-    with opener(path, "wt", encoding="utf-8") as fh:
-        fh.write(to_csv(log))
+    text = to_csv(log)
+    if path.endswith(".gz"):
+        with gzip.GzipFile(path, "wb", mtime=0) as fh:
+            fh.write(text.encode("utf-8"))
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)

@@ -185,13 +185,17 @@ class RoadGraph:
     def edges(self) -> list[RoadEdge]:
         """Edge objects in canonical order and input orientation, built on each access."""
         ids = self.ids
-        rows = np.repeat(np.arange(len(ids)), np.diff(self.indptr))
+        return [RoadEdge(ids[a], ids[b], w) for a, b, w in zip(*self._edge_columns())]
+
+    def _edge_columns(self) -> tuple[list, list, list]:
+        """Endpoint indices and lengths of the edges in canonical order and input orientation."""
+        rows = np.repeat(np.arange(len(self.ids)), np.diff(self.indptr))
         canon = self.nbrs > rows
         lo, hi = rows[canon], self.nbrs[canon]
         rev = self.edge_reversed
         u = np.where(rev, hi, lo).tolist()
         v = np.where(rev, lo, hi).tolist()
-        return [RoadEdge(ids[a], ids[b], w) for a, b, w in zip(u, v, self.lens[canon].tolist())]
+        return u, v, self.lens[canon].tolist()
 
     def adjacency(self) -> dict[str, list[tuple[str, float]]]:
         """Neighbor lists (neighbor id, edge length), sorted by neighbor id."""
@@ -328,9 +332,33 @@ def _columns(rows: list[tuple], width: int) -> tuple:
 
 
 def save_graph(g: RoadGraph, path) -> None:
-    text = json.dumps(graph_to_dict(g), indent=1, sort_keys=True) + "\n"
+    """Write json.dumps(graph_to_dict(g), indent=1, sort_keys=True) and a newline.
+
+    The text is built from the graph's columns with templates, which takes
+    a fraction of the time of json's pure-Python indenting encoder; each id
+    goes through json.dumps, so ids keep their JSON type and escapes.
+    """
+    # an encoded id never holds a raw newline, so one dumps call can encode them all
+    ids = json.dumps(g.ids, separators=("\n", ":"))[1:-1].split("\n") if g.ids else []
+    edges = [
+        f'  {{\n   "length_m": {w!r},\n   "u": {ids[a]},\n   "v": {ids[b]}\n  }}'
+        for a, b, w in zip(*g._edge_columns())
+    ]
+    nodes = [
+        f'  {{\n   "id": {nid},\n   "lat": {la!r},\n   "lon": {lo!r}\n  }}'
+        for nid, la, lo in zip(ids, g.lat.tolist(), g.lon.tolist())
+    ]
+    text = (
+        f'{{\n "edges": {_json_rows(edges)},\n "nodes": {_json_rows(nodes)},\n'
+        f' "version": {GRAPH_FORMAT_VERSION}\n}}\n'
+    )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def _json_rows(rows: list[str]) -> str:
+    """A JSON list of already indented rows, as json.dumps(indent=1) nests it in a dict."""
+    return "[\n" + ",\n".join(rows) + "\n ]" if rows else "[]"
 
 
 # (text, graph) of the last map load_graph decoded, or None

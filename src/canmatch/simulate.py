@@ -17,7 +17,7 @@ from .canlog import CanLog, PedalSeries, SpeedSeries
 from .errors import NoSuchPath
 from .geo import M_PER_DEG_LAT, haversine_m
 from .metrics import GroundTruth
-from .roadnet import RoadEdge, RoadGraph, RoadNode
+from .roadnet import RoadGraph
 
 MS_TO_KMH = 3.6
 
@@ -96,41 +96,37 @@ def make_synthetic_grid(
     rng = np.random.default_rng(seed)
     lat0, lon0 = origin
     offsets = rng.uniform(-jitter * spacing_m, jitter * spacing_m, size=(n, n, 2))
+    steps = np.arange(n) * spacing_m
+    north = steps[:, None] + offsets[:, :, 0]
+    east = steps[None, :] + offsets[:, :, 1]
+    lat = (lat0 + north / M_PER_DEG_LAT).ravel()
+    lon = (lon0 + east / (M_PER_DEG_LAT * np.cos(np.radians(lat0)))).ravel()
     width = len(str(n - 1))
-    nodes = []
-    for r in range(n):
-        for c in range(n):
-            north = r * spacing_m + offsets[r, c, 0]
-            east = c * spacing_m + offsets[r, c, 1]
-            nodes.append(
-                RoadNode(
-                    id=f"n{r:0{width}d}_{c:0{width}d}",
-                    lat=lat0 + north / M_PER_DEG_LAT,
-                    lon=lon0 + east / (M_PER_DEG_LAT * np.cos(np.radians(lat0))),
-                )
-            )
-    by_id = {nd.id: nd for nd in nodes}
+    ids = [f"n{r:0{width}d}_{c:0{width}d}" for r in range(n) for c in range(n)]
+    # each node's east and south neighbours, by row-major node number
+    k = np.arange(n * n).reshape(n, n)
+    us = np.concatenate((k[:, :-1].ravel(), k[:-1, :].ravel())).tolist()
+    vs = np.concatenate((k[:, 1:].ravel(), k[1:, :].ravel())).tolist()
+    # scalar calls: an array call can differ in the last bit, which changes map bytes
+    lengths = [float(haversine_m(lat[a], lon[a], lat[b], lon[b])) for a, b in zip(us, vs)]
+    return RoadGraph._from_columns(
+        ids, lat, lon, [ids[a] for a in us], [ids[b] for b in vs], lengths
+    )
 
-    def nid(r: int, c: int) -> str:
-        return f"n{r:0{width}d}_{c:0{width}d}"
 
-    edges = []
-    for r in range(n):
-        for c in range(n):
-            for r2, c2 in ((r, c + 1), (r + 1, c)):
-                if r2 < n and c2 < n:
-                    a, b = by_id[nid(r, c)], by_id[nid(r2, c2)]
-                    edges.append(
-                        RoadEdge(a.id, b.id, float(haversine_m(a.lat, a.lon, b.lat, b.lon)))
-                    )
-    return RoadGraph(nodes, edges)
+# nodes one sample_route call may expand, over all its restarts
+ROUTE_EXPANSIONS = 200_000
 
 
 def sample_route(g: RoadGraph, q: int, seed: int = 0) -> GroundTruth:
     """A random simple path of q nodes, found by walking with backtracking.
 
+    The walk restarts from a random node up to 200 times. Over all restarts
+    it expands at most ROUTE_EXPANSIONS nodes, so a q that few or no
+    simple paths reach fails fast rather than backtracking for hours.
+
     Raises:
-        NoSuchPath: no path of that length was found within the retry budget.
+        NoSuchPath: no path of that length was found within the budget.
     """
     if q < 2:
         raise ValueError("a route needs at least 2 nodes")
@@ -140,77 +136,123 @@ def sample_route(g: RoadGraph, q: int, seed: int = 0) -> GroundTruth:
     rng = np.random.default_rng(seed)
     ptr = g.indptr.tolist()
     nbrs = g.nbrs.tolist()
-    path: list[int] = []
-
-    def walk(u: int) -> bool:
-        path.append(u)
-        if len(path) == q:
-            return True
-        options = [v for v in nbrs[ptr[u] : ptr[u + 1]] if v not in path]
-        for idx in rng.permutation(len(options)):
-            if walk(options[int(idx)]):
-                return True
-        path.pop()
-        return False
-
+    on_path = [False] * len(ids)
+    budget = ROUTE_EXPANSIONS
     for _attempt in range(200):
-        path.clear()
-        if walk(int(rng.integers(len(ids)))):
-            return GroundTruth(node_ids=tuple(ids[i] for i in path))
+        u = int(rng.integers(len(ids)))
+        path: list[int] = []
+        # untried[i]: path[i]'s unvisited neighbours not yet walked, next one last
+        untried: list[list[int]] = []
+        while True:
+            path.append(u)
+            on_path[u] = True
+            if len(path) == q:
+                return GroundTruth(node_ids=tuple(ids[i] for i in path))
+            budget -= 1
+            if budget < 0:
+                raise NoSuchPath(
+                    f"no simple path of {q} nodes found in {ROUTE_EXPANSIONS} expansions"
+                )
+            options = [v for v in nbrs[ptr[u] : ptr[u + 1]] if not on_path[v]]
+            untried.append([options[i] for i in rng.permutation(len(options)).tolist()[::-1]])
+            while untried and not untried[-1]:
+                untried.pop()
+                on_path[path.pop()] = False
+            if not untried:
+                break
+            u = untried[-1].pop()
     raise NoSuchPath(f"no simple path of {q} nodes found in 200 attempts")
 
 
 class _Trace:
-    """Sample accumulator driving the discrete-time vehicle."""
+    """Sample accumulator driving the discrete-time vehicle.
+
+    Samples are gathered as chunks (arrays or lists) of speeds and pedals;
+    ``pos`` advances by speed * period per sample, added one sample at a
+    time so that it is the same float as a per-sample loop would hold.
+    """
 
     def __init__(self, profile: DriveProfile, rng: np.random.Generator):
         self.p = profile
         self.rng = rng
         self.pos = 0.0
-        self.speeds_mps: list[float] = []
-        self.pedals: list[float] = []
+        self.speeds_mps: list = []
+        self.pedals: list = []
         # cruise pedal jitter stays well clear of the idle level
         self._jitter_amp = min(2.0, (profile.pedal_cruise - profile.pedal_idle) / 4.0)
-
-    def _cruise_pedal(self) -> float:
-        return self.p.pedal_cruise + float(
-            self.rng.uniform(-self._jitter_amp, self._jitter_amp)
-        )
-
-    def _emit(self, v_mps: float, pedal: float) -> None:
-        self.speeds_mps.append(v_mps)
-        self.pedals.append(pedal)
-        self.pos += v_mps * self.p.sample_period_s
 
     def cruise_to(self, target: float) -> None:
         """Drive at cruise speed, landing exactly on target with a final
         shortened sample."""
-        dt = self.p.sample_period_s
-        cruise = self.p.cruise_speed_mps
-        floor = 0.1 * cruise
         if self.pos >= target - 1e-12:
             # an earlier event overshot past this target; hold position
             self.pos = max(self.pos, target)
             return
+        if self.p.speed_noise_std > 0:
+            self._noisy_cruise_to(target)
+            return
+        dt = self.p.sample_period_s
+        cruise = self.p.cruise_speed_mps
+        step = cruise * dt
+        n = int((target - self.pos) / step) + 2
         while True:
-            v = cruise
-            if self.p.speed_noise_std > 0:
-                v = max(floor, cruise + float(self.rng.normal(0.0, self.p.speed_noise_std)))
-            if self.pos + v * dt >= target - 1e-12:
-                v_land = (target - self.pos) / dt
+            # add.accumulate sums in order, so reach[j] is the position after j samples
+            reach = np.add.accumulate(np.concatenate(([self.pos], np.full(n, step))))
+            hits = np.flatnonzero(reach[1:] >= target - 1e-12)
+            if hits.size:
+                break
+            n *= 2
+        full = int(hits[0])  # whole cruise samples before the landing one
+        v_land = (target - float(reach[full])) / dt
+        speeds = [cruise] * full + ([v_land] if v_land > 1e-9 else [])
+        if speeds:
+            self.speeds_mps.append(speeds)
+            # one bulk draw yields the same values as one scalar draw per sample
+            amp = self._jitter_amp
+            self.pedals.append(self.p.pedal_cruise + self.rng.uniform(-amp, amp, len(speeds)))
+        self.pos = target
+
+    def _noisy_cruise_to(self, target: float) -> None:
+        """cruise_to with speed noise, one sample at a time.
+
+        Each sample draws its speed noise and then its pedal jitter from the
+        one generator. Drawing either in bulk would reorder the draws and so
+        change every noisy log. The draws are written out as numpy computes
+        them: normal(0, std) is 0 + std * standard_normal() and
+        uniform(lo, hi) is lo + (hi - lo) * random().
+        """
+        p = self.p
+        normal, uniform = self.rng.standard_normal, self.rng.random
+        dt = p.sample_period_s
+        cruise, std, pedal = p.cruise_speed_mps, p.speed_noise_std, p.pedal_cruise
+        floor = 0.1 * cruise
+        lo = -self._jitter_amp
+        span = self._jitter_amp - lo
+        pos = self.pos
+        speeds: list[float] = []
+        pedals: list[float] = []
+        while True:
+            v = max(floor, cruise + std * normal())
+            if pos + v * dt >= target - 1e-12:
+                v_land = (target - pos) / dt
                 if v_land > 1e-9:
-                    self._emit(v_land, self._cruise_pedal())
-                self.pos = target
-                return
-            self._emit(v, self._cruise_pedal())
+                    speeds.append(v_land)
+                    pedals.append(pedal + (lo + span * uniform()))
+                break
+            speeds.append(v)
+            pedals.append(pedal + (lo + span * uniform()))
+            pos += v * dt
+        self.speeds_mps.append(speeds)
+        self.pedals.append(pedals)
+        self.pos = target
 
     def cruise_distance(self, meters: float) -> None:
         self.cruise_to(self.pos + meters)
 
     def dwell(self, seconds: float) -> None:
         n = max(2, round(seconds / self.p.sample_period_s))
-        for _ in range(n):
-            self._emit(0.0, self.p.pedal_idle)
+        self.speeds_mps.append([0.0] * n)
+        self.pedals.append([self.p.pedal_idle] * n)
 
     def turn_window(self) -> None:
         """Slow approach, then a single pedal-release sample on the anchor.
@@ -221,10 +263,11 @@ class _Trace:
         """
         v_turn = self.p.turn_slowdown * self.p.cruise_speed_mps
         n = max(2, round(self.p.turn_window_s / self.p.sample_period_s))
-        ease = self.p.pedal_idle + 2.0
-        for _ in range(n - 1):
-            self._emit(v_turn, ease)
-        self._emit(v_turn, self.p.pedal_idle)
+        self.speeds_mps.append([v_turn] * n)
+        self.pedals.append([self.p.pedal_idle + 2.0] * (n - 1) + [self.p.pedal_idle])
+        step = v_turn * self.p.sample_period_s
+        for _ in range(n):
+            self.pos += step
 
     def turn_lead_m(self) -> float:
         """Distance covered by the slow approach before the release sample."""
@@ -269,10 +312,9 @@ def synthesize_can(gt: GroundTruth, g: RoadGraph, profile: DriveProfile) -> SimS
     if profile.tail_m > 0:
         trace.cruise_distance(profile.tail_m)
 
-    n = len(trace.speeds_mps)
-    times = np.arange(n, dtype=np.float64) * profile.sample_period_s
-    speeds_kmh = np.asarray(trace.speeds_mps, dtype=np.float64) * MS_TO_KMH
-    pedals = np.asarray(trace.pedals, dtype=np.float64)
+    speeds_kmh = np.concatenate(trace.speeds_mps, dtype=np.float64) * MS_TO_KMH
+    pedals = np.concatenate(trace.pedals, dtype=np.float64)
+    times = np.arange(pedals.size, dtype=np.float64) * profile.sample_period_s
     log = CanLog(
         speed=SpeedSeries(times=times, values=speeds_kmh),
         pedal=PedalSeries(times=times.copy(), values=pedals),

@@ -23,8 +23,9 @@ from canmatch.errors import (
     SchemaMismatch,
     UnknownSignal,
 )
-from canmatch.geo import EARTH_RADIUS_M
+from canmatch.geo import EARTH_RADIUS_M, M_PER_DEG_LAT, haversine_m
 from canmatch.roadnet import RoadEdge, RoadGraph, RoadNode
+from canmatch.simulate import MS_TO_KMH
 from canmatch.trajgraph import (
     TrajectoryGraph,
     TrajectoryNode,
@@ -267,6 +268,86 @@ def reference_to_csv(log: CanLog) -> str:
     ]
     rows.sort(key=lambda r: r[:3])
     return HEADER + "\n" + "".join(f"{t!r},{SIGNALS[s]},{v!r}\n" for t, s, _, v in rows)
+
+
+def reference_synthetic_grid(
+    n: int, spacing_m: float, jitter: float, seed: int, origin: tuple[float, float]
+) -> RoadGraph:
+    """make_synthetic_grid as one RoadNode per node and one RoadEdge per edge."""
+    rng = np.random.default_rng(seed)
+    lat0, lon0 = origin
+    offsets = rng.uniform(-jitter * spacing_m, jitter * spacing_m, size=(n, n, 2))
+    width = len(str(n - 1))
+    nodes = {}
+    for r in range(n):
+        for c in range(n):
+            nid = f"n{r:0{width}d}_{c:0{width}d}"
+            north = r * spacing_m + offsets[r, c, 0]
+            east = c * spacing_m + offsets[r, c, 1]
+            lat = lat0 + north / M_PER_DEG_LAT
+            lon = lon0 + east / (M_PER_DEG_LAT * np.cos(np.radians(lat0)))
+            nodes[r, c] = RoadNode(nid, lat, lon)
+    edges = []
+    for (r, c), a in nodes.items():
+        for b in (nodes.get((r, c + 1)), nodes.get((r + 1, c))):
+            if b is not None:
+                edges.append(RoadEdge(a.id, b.id, float(haversine_m(a.lat, a.lon, b.lat, b.lon))))
+    return RoadGraph(list(nodes.values()), edges)
+
+
+def reference_synthesize_can(gt, g: RoadGraph, p) -> CanLog:
+    """synthesize_can as a loop of one sample and one generator call at a time."""
+    rng = np.random.default_rng(p.seed)
+    lengths = path_weights(g, list(gt.node_ids))
+    anchors = np.concatenate(([p.lead_in_m], p.lead_in_m + np.cumsum(lengths)))
+    if p.stop_offset_m > 0:
+        anchors = anchors - rng.uniform(0.0, p.stop_offset_m, size=anchors.size)
+    dt = p.sample_period_s
+    amp = min(2.0, (p.pedal_cruise - p.pedal_idle) / 4.0)
+    speeds: list[float] = []
+    pedals: list[float] = []
+    pos = 0.0
+
+    def emit(v: float, pedal: float) -> None:
+        nonlocal pos
+        speeds.append(v)
+        pedals.append(pedal)
+        pos += v * dt
+
+    def cruise_to(target: float) -> None:
+        nonlocal pos
+        if pos >= target - 1e-12:
+            pos = max(pos, target)
+            return
+        while True:
+            v = p.cruise_speed_mps
+            if p.speed_noise_std > 0:
+                v = max(0.1 * v, v + float(rng.normal(0.0, p.speed_noise_std)))
+            if pos + v * dt >= target - 1e-12:
+                if (target - pos) / dt > 1e-9:
+                    emit((target - pos) / dt, p.pedal_cruise + float(rng.uniform(-amp, amp)))
+                pos = target
+                return
+            emit(v, p.pedal_cruise + float(rng.uniform(-amp, amp)))
+
+    n_turn = max(2, round(p.turn_window_s / dt))
+    v_turn = p.turn_slowdown * p.cruise_speed_mps
+    for i, anchor in enumerate(anchors):
+        if p.event_pattern == "stops" or i % 2 == 0:
+            cruise_to(float(anchor))
+            for _ in range(max(2, round(float(rng.uniform(*p.stop_dwell_s)) / dt))):
+                emit(0.0, p.pedal_idle)
+        else:
+            cruise_to(float(anchor) - (n_turn - 1) * v_turn * dt)
+            for j in range(n_turn):
+                emit(v_turn, p.pedal_idle if j == n_turn - 1 else p.pedal_idle + 2.0)
+    if p.tail_m > 0:
+        cruise_to(pos + p.tail_m)
+    times = np.arange(len(speeds), dtype=np.float64) * dt
+    return CanLog(
+        speed=SpeedSeries(times=times, values=np.array(speeds) * MS_TO_KMH),
+        pedal=PedalSeries(times=times.copy(), values=np.array(pedals)),
+    )
 
 
 def reference_merge_nodes(

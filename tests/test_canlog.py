@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import gzip
+import time
 import warnings
 
 import numpy as np
@@ -194,6 +195,21 @@ def test_to_csv_matches_per_row_reference():
         "0.1,speed,-0.0\n0.1,pedal,0.0\n"
     )
     assert to_csv(fixed) == reference_to_csv(fixed)
+
+
+def test_gz_log_bytes_do_not_depend_on_the_write_time(tmp_path, monkeypatch):
+    log = parse_can_csv(_log_text(["0.0,speed,1", "1.0,speed,2", "0.0,pedal,10"]))
+    first, second = tmp_path / "a" / "log.csv.gz", tmp_path / "b" / "log.csv.gz"
+    first.parent.mkdir()
+    second.parent.mkdir()
+    write_can_csv(log, first)
+    later = time.time() + 1000.0
+    monkeypatch.setattr(time, "time", lambda: later)
+    write_can_csv(log, second)
+    data = first.read_bytes()
+    assert data[4:8] == bytes(4)  # the header's MTIME field
+    assert second.read_bytes() == data
+    assert read_can_csv(first) == log
 
 
 def test_duration_property():

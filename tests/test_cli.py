@@ -4,6 +4,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,24 @@ def test_ingest_osm_missing_file(tmp_path):
         ["ingest-osm", "--in", str(tmp_path / "nope.osm"), "--out", str(tmp_path / "g.json")]
     )
     assert rc == 2
+
+
+def test_simulate_exits_empty_when_the_route_walk_runs_out_of_budget(tmp_path, capsys):
+    # simple paths of 1,200 nodes exist on a 40x40 grid, but a random walk
+    # with backtracking almost never finds one: the walk's budget ends it
+    graph, log = tmp_path / "grid.json", tmp_path / "drive.csv"
+    assert main(["make-grid", "--out", str(graph), "--n", "40"]) == 0
+    t0 = time.perf_counter()
+    rc = main(
+        [
+            "simulate", "--graph", str(graph), "--out-log", str(log),
+            "--out-truth", str(tmp_path / "truth.json"), "--q", "1200",
+        ]
+    )
+    assert rc == 3
+    assert time.perf_counter() - t0 < 20.0
+    assert "kind=NoSuchPath" in capsys.readouterr().err
+    assert not log.exists()
 
 
 # --- pipeline commands over one shared scenario

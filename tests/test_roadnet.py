@@ -425,6 +425,18 @@ def test_columnar_graph_equals_dict_based_constructor(tmp_path):
         _assert_same_graph(graph_from_dict(doc), by_id, ref_edges, tmp_path)
 
 
+def test_saved_text_equals_json_dump_for_awkward_ids_and_floats(tmp_path):
+    ids = ["a, b", 'q"uote', "back\\slash", "new\nline", "caf\u00e9", "\U0001f697", "n0_0", ""]
+    coords = [0.0, -0.0, 5e-324, 1e22, -89.99999999999999, 0.1, 1 / 3, 179.5]
+    nodes = [RoadNode(nid, la, lo) for nid, la, lo in zip(ids, coords, coords[::-1])]
+    edges = [RoadEdge(a, b, w) for a, b, w in zip(ids, ids[1:], [1e-300, 0.1, 2.5e10, 7.0] * 2)]
+    int_ids = [RoadNode(i, n.lat, n.lon) for i, n in enumerate(nodes)]
+    for g in (RoadGraph(nodes, edges), RoadGraph(int_ids, []), RoadGraph([], [])):
+        path = tmp_path / "g.json"
+        save_graph(g, path)
+        assert path.read_text(encoding="utf-8") == reference_graph_json(g.nodes, g.edges)
+
+
 FAULTS = ("dangling", "nan_lat", "inf_lon", "nan_length", "inf_length", "zero", "negative")
 BAD_LENGTH = {"nan_length": math.nan, "inf_length": math.inf, "zero": 0.0, "negative": -5.0}
 

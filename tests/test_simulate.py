@@ -18,10 +18,17 @@ from canmatch import (
     save_graph,
     synthesize_can,
 )
+from canmatch import simulate
 from canmatch.canlog import to_csv
 from canmatch.errors import NoSuchPath
+from canmatch.simulate import EVENT_PATTERNS
 from canmatch.trajgraph import positions_m
-from helpers import line_graph, path_weights
+from helpers import (
+    line_graph,
+    path_weights,
+    reference_synthesize_can,
+    reference_synthetic_grid,
+)
 
 
 # --- profile validation
@@ -78,6 +85,18 @@ def test_grid_is_seed_deterministic():
     assert c != a
 
 
+def test_grid_equals_per_node_reference():
+    rng = np.random.default_rng(12)
+    for _ in range(60):
+        n = int(rng.integers(2, 13))
+        spacing = float(rng.uniform(50.0, 500.0))
+        jitter = float(rng.choice([0.0, 0.1, 0.3, 0.49]))
+        origin = (float(rng.uniform(-80.0, 80.0)), float(rng.uniform(-180.0, 180.0)))
+        seed = int(rng.integers(2**32))
+        got = make_synthetic_grid(n, spacing, jitter, seed=seed, origin=origin)
+        assert got == reference_synthetic_grid(n, spacing, jitter, seed, origin)
+
+
 def test_grid_rejects_bad_arguments():
     with pytest.raises(ValueError):
         make_synthetic_grid(1, 100.0, 0.0)
@@ -117,6 +136,24 @@ def test_route_longer_than_graph_raises():
         sample_route(g, 10, seed=0)
     with pytest.raises(ValueError):
         sample_route(g, 1, seed=0)
+
+
+def test_route_walk_needs_no_recursion_depth():
+    # a recursive walk would pass the interpreter's recursion limit here
+    g, ids = line_graph([10.0] * 1199)
+    gt = sample_route(g, 1000, seed=0)
+    steps = np.diff([ids.index(nid) for nid in gt.node_ids])
+    assert len(gt.node_ids) == 1000
+    assert (steps == steps[0]).all() and abs(steps[0]) == 1
+
+
+def test_route_walk_stops_at_its_expansion_budget(monkeypatch):
+    g = make_synthetic_grid(6, 300.0, 0.1, seed=1)
+    monkeypatch.setattr(simulate, "ROUTE_EXPANSIONS", 50)
+    # a Hamiltonian path takes more than 50 expansions to find here
+    with pytest.raises(NoSuchPath, match="50 expansions"):
+        sample_route(g, 36, seed=0)
+    assert len(sample_route(g, 8, seed=0).node_ids) == 8
 
 
 # --- log synthesis
@@ -172,6 +209,34 @@ def test_alternating_pattern_recovers_both_kinds():
     traj = build_trajectory(scen.log, g.min_edge_length_m)
     kinds = [n.kind for n in traj.nodes]
     assert kinds == ["stop", "turn", "stop", "turn", "stop", "turn", "stop"]
+
+
+def test_synthesis_equals_per_sample_reference():
+    # the same draws in the same order and the same float arithmetic, over
+    # speeds and periods whose per-sample step is not a whole number of meters
+    rng = np.random.default_rng(31)
+    g = make_synthetic_grid(8, 300.0, 0.2, seed=31)
+    for trial in range(40):
+        cruise = float(rng.uniform(4.0, 20.0))
+        slowdown, window = float(rng.uniform(0.1, 0.9)), float(rng.uniform(2.0, 4.0))
+        offset = float(rng.choice([0.0, 4.0, 15.0]))
+        profile = DriveProfile(
+            cruise_speed_mps=cruise,
+            sample_period_s=float(rng.choice([0.02, 0.05, 0.1, 0.3, 1 / 3])),
+            stop_dwell_s=(1.0, float(rng.uniform(1.0, 6.0))),
+            turn_slowdown=slowdown,
+            turn_window_s=window,
+            speed_noise_std=float(rng.choice([0.0, 0.0, 0.3, 2.0])),
+            stop_offset_m=offset,
+            # the shortest lead-in the profile accepts, plus a random margin
+            lead_in_m=offset + slowdown * cruise * window + cruise + float(rng.uniform(0.5, 30.0)),
+            tail_m=float(rng.choice([0.0, 0.5, 80.0])),
+            event_pattern=str(rng.choice(EVENT_PATTERNS)),
+            seed=trial,
+        )
+        gt = sample_route(g, int(rng.integers(2, 9)), seed=trial)
+        want = to_csv(reference_synthesize_can(gt, g, profile))
+        assert to_csv(synthesize_can(gt, g, profile).log) == want
 
 
 def test_zero_speed_only_during_dwells():
