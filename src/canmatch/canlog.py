@@ -8,6 +8,7 @@ stable sort so equal-time rows keep file order.
 
 from __future__ import annotations
 
+import functools
 import gzip
 import math
 import warnings
@@ -254,15 +255,11 @@ def to_csv(log: CanLog) -> str:
 
 
 def write_can_csv(log: CanLog, path) -> None:
-    """Write to_csv(log) to a file; names ending in .gz are gzipped.
+    """Write to_csv(log) as UTF-8; names ending in .gz are gzipped.
 
     The gzip header's timestamp is zero, so a log always writes the same bytes.
     """
     path = str(path)
-    text = to_csv(log)
-    if path.endswith(".gz"):
-        with gzip.GzipFile(path, "wb", mtime=0) as fh:
-            fh.write(text.encode("utf-8"))
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    opener = functools.partial(gzip.GzipFile, mtime=0) if path.endswith(".gz") else open
+    with opener(path, "wb") as fh:
+        fh.write(to_csv(log).encode("utf-8"))

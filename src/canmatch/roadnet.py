@@ -301,16 +301,6 @@ def read_osm_xml(path) -> RoadGraph:
         return parse_osm_xml(fh.read())
 
 
-def graph_to_dict(g: RoadGraph) -> dict:
-    return {
-        "version": GRAPH_FORMAT_VERSION,
-        "nodes": [{"id": n.id, "lat": n.lat, "lon": n.lon} for n in g.nodes.values()],
-        "edges": [
-            {"u": e.u, "v": e.v, "length_m": e.length_m} for e in g.edges
-        ],
-    }
-
-
 def graph_from_dict(doc: dict) -> RoadGraph:
     if not isinstance(doc, dict) or "version" not in doc:
         raise SchemaMismatch("graph document has no version field")
@@ -332,11 +322,14 @@ def _columns(rows: list[tuple], width: int) -> tuple:
 
 
 def save_graph(g: RoadGraph, path) -> None:
-    """Write json.dumps(graph_to_dict(g), indent=1, sort_keys=True) and a newline.
+    """Write the graph as the JSON document graph_from_dict reads.
 
-    The text is built from the graph's columns with templates, which takes
-    a fraction of the time of json's pure-Python indenting encoder; each id
-    goes through json.dumps, so ids keep their JSON type and escapes.
+    The text is what json.dumps(doc, indent=1, sort_keys=True) gives for
+    {"version", "nodes": [{"id", "lat", "lon"}], "edges": [{"u", "v",
+    "length_m"}]}, plus a newline. It is built from the graph's columns
+    with templates, in a fraction of the time of json's pure-Python
+    indenting encoder; each id goes through json.dumps, so ids keep their
+    JSON type and escapes.
     """
     # an encoded id never holds a raw newline, so one dumps call can encode them all
     ids = json.dumps(g.ids, separators=("\n", ":"))[1:-1].split("\n") if g.ids else []

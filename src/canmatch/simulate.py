@@ -246,9 +246,6 @@ class _Trace:
         self.pedals.append(pedals)
         self.pos = target
 
-    def cruise_distance(self, meters: float) -> None:
-        self.cruise_to(self.pos + meters)
-
     def dwell(self, seconds: float) -> None:
         n = max(2, round(seconds / self.p.sample_period_s))
         self.speeds_mps.append([0.0] * n)
@@ -296,21 +293,16 @@ def synthesize_can(gt: GroundTruth, g: RoadGraph, profile: DriveProfile) -> SimS
     if profile.stop_offset_m > 0:
         anchors = anchors - rng.uniform(0.0, profile.stop_offset_m, size=anchors.size)
 
-    def kind_of(i: int) -> str:
-        if profile.event_pattern == "stops":
-            return "stop"
-        return "stop" if i % 2 == 0 else "turn"
-
     trace = _Trace(profile, rng)
     for i, anchor in enumerate(anchors):
-        if kind_of(i) == "stop":
+        if profile.event_pattern == "stops" or i % 2 == 0:  # a stop, else a turn
             trace.cruise_to(float(anchor))
             trace.dwell(float(rng.uniform(*profile.stop_dwell_s)))
         else:
             trace.cruise_to(float(anchor) - trace.turn_lead_m())
             trace.turn_window()
     if profile.tail_m > 0:
-        trace.cruise_distance(profile.tail_m)
+        trace.cruise_to(trace.pos + profile.tail_m)
 
     speeds_kmh = np.concatenate(trace.speeds_mps, dtype=np.float64) * MS_TO_KMH
     pedals = np.concatenate(trace.pedals, dtype=np.float64)

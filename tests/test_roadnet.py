@@ -28,7 +28,6 @@ from canmatch.roadnet import (
     RoadNode,
     bbox_filter,
     graph_from_dict,
-    graph_to_dict,
     load_graph,
     parse_osm_xml,
     save_graph,
@@ -151,10 +150,10 @@ def test_load_truncated_file(tmp_path):
 
 
 def test_load_wrong_version(tmp_path):
-    g = make_synthetic_grid(2, 100.0, 0.0, seed=0)
-    doc = graph_to_dict(g)
-    doc["version"] = GRAPH_FORMAT_VERSION + 1
     p = tmp_path / "g.json"
+    save_graph(make_synthetic_grid(2, 100.0, 0.0, seed=0), p)
+    doc = json.loads(p.read_text())
+    doc["version"] = GRAPH_FORMAT_VERSION + 1
     p.write_text(json.dumps(doc))
     with pytest.raises(VersionUnsupported):
         load_graph(p)
@@ -269,11 +268,13 @@ def test_crlf_map_loads_equal_to_its_lf_twin(tmp_path):
     assert load_graph(lf) == g
 
 
-def test_dict_round_trip_structural_equality():
+def test_dict_round_trip_structural_equality(tmp_path):
     rng = np.random.default_rng(5)
+    p = tmp_path / "g.json"
     for _ in range(10):
         g = make_synthetic_grid(int(rng.integers(2, 8)), 150.0, 0.3, seed=int(rng.integers(99)))
-        assert graph_from_dict(graph_to_dict(g)) == g
+        save_graph(g, p)
+        assert graph_from_dict(json.loads(p.read_text())) == g
 
 
 def test_graphs_differing_in_one_field_are_unequal():

@@ -283,8 +283,8 @@ def test_route_hopping_missing_edge_rejected():
 
 
 # --- pinned bytes
-# SHA-256 of the text the simulator and the writers produce today. Any change
-# to the draws, the arithmetic or the formatting of a drive or a map shows here.
+# SHA-256 of the text the simulator and the writers produce. Any change to the
+# draws, the arithmetic or the formatting of a drive or a map shows here.
 
 LOG_SHA256 = {
     "noise_free": ({}, "ae3efa44002d83912709f35c8249924ea03c28d7c41fa5cf492c5af9e4795163"),
