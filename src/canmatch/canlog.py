@@ -226,8 +226,6 @@ def _reprs(column: np.ndarray) -> np.ndarray:
     Distinct means distinct bits, so -0.0 and 0.0 keep their own spellings.
     """
     uniq, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    if not uniq.size:
-        return np.empty(0, dtype=object)
     # the repr of a list of floats is the floats' reprs joined by ", "
     text = repr(uniq.view(np.float64).tolist())[1:-1].split(", ")
     return np.array(text, dtype=object)[inverse]

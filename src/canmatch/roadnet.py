@@ -332,7 +332,7 @@ def save_graph(g: RoadGraph, path) -> None:
     JSON type and escapes.
     """
     # an encoded id never holds a raw newline, so one dumps call can encode them all
-    ids = json.dumps(g.ids, separators=("\n", ":"))[1:-1].split("\n") if g.ids else []
+    ids = json.dumps(g.ids, separators=("\n", ":"))[1:-1].split("\n")
     edges = [
         f'  {{\n   "length_m": {w!r},\n   "u": {ids[a]},\n   "v": {ids[b]}\n  }}'
         for a, b, w in zip(*g._edge_columns())

@@ -123,7 +123,8 @@ def sample_route(g: RoadGraph, q: int, seed: int = 0) -> GroundTruth:
 
     The walk restarts from a random node up to 200 times. Over all restarts
     it expands at most ROUTE_EXPANSIONS nodes, so a q that few or no
-    simple paths reach fails fast rather than backtracking for hours.
+    simple paths reach raises NoSuchPath instead of backtracking through
+    exponentially many partial paths.
 
     Raises:
         NoSuchPath: no path of that length was found within the budget.

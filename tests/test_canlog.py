@@ -195,6 +195,8 @@ def test_to_csv_matches_per_row_reference():
         "0.1,speed,-0.0\n0.1,pedal,0.0\n"
     )
     assert to_csv(fixed) == reference_to_csv(fixed)
+    empty = CanLog(speed=SpeedSeries(np.empty(0), np.empty(0)), pedal=fixed.pedal)
+    assert to_csv(empty) == reference_to_csv(empty)
 
 
 def test_gz_log_bytes_do_not_depend_on_the_write_time(tmp_path, monkeypatch):
