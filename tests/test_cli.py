@@ -1,6 +1,7 @@
 """End-to-end tests driving the CLI entry point in-process."""
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -226,6 +227,27 @@ def test_evaluate_missing_truth(pipeline, tmp_path):
         ]
     )
     assert rc == 2
+
+
+# report.json of the README quick start, as the commands there write it
+QUICK_START_REPORT_SHA256 = "ab43eec8ec504fb8cc8b1649691f212740fdc17706c7c6519de8c87e83e91e15"
+
+
+def test_readme_quick_start_report_bytes_are_pinned(tmp_path):
+    graph, log, truth = tmp_path / "grid.json", tmp_path / "drive.csv", tmp_path / "truth.json"
+    out_dir, report = tmp_path / "out", tmp_path / "report.json"
+    for argv in (
+        ["make-grid", "--out", graph, "--n", 8, "--spacing-m", 350, "--jitter", 0.12, "--seed", 4],
+        ["simulate", "--graph", graph, "--out-log", log, "--out-truth", truth,
+         "--q", 8, "--seed", 4],
+        ["attack", "--log", log, "--graph", graph, "--out-dir", out_dir, "--k", 3],
+        ["evaluate", "--result", out_dir / "result.json", "--truth", truth,
+         "--graph", graph, "--out", report],
+    ):
+        assert main([str(a) for a in argv]) == 0
+    rep = json.loads(report.read_text())
+    assert (rep["offset_m"], rep["precision"]) == (48.656845717326235, 0.9166666666666666)
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == QUICK_START_REPORT_SHA256
 
 
 def test_attack_k_flag_beats_config(pipeline, tmp_path):
