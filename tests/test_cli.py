@@ -5,6 +5,8 @@ import hashlib
 import importlib.util
 import json
 import math
+import re
+import shlex
 import time
 from pathlib import Path
 
@@ -248,6 +250,21 @@ def test_readme_quick_start_report_bytes_are_pinned(tmp_path):
     rep = json.loads(report.read_text())
     assert (rep["offset_m"], rep["precision"]) == (48.656845717326235, 0.9166666666666666)
     assert hashlib.sha256(report.read_bytes()).hexdigest() == QUICK_START_REPORT_SHA256
+
+
+def test_every_readme_command_parses():
+    # a value that starts with "-", like a negative latitude, reads as an
+    # option unless it is joined to its flag with "="
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    script = "".join(re.findall(r"```sh\n(.*?)```", readme, re.S)).replace("\\\n", " ")
+    commands = [shlex.split(line) for line in script.splitlines() if line.startswith("canmatch ")]
+    assert len(commands) == 7
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")
 
 
 def test_attack_k_flag_beats_config(pipeline, tmp_path):
