@@ -11,9 +11,9 @@ division each, so their sum is exactly 1.0.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .errors import EmptyResult, PairingTruncated
+from .errors import PairingTruncated
 from .geo import haversine_m
 
 
@@ -51,54 +51,16 @@ class EvalReport:
     per_candidate: list[dict]
 
     def to_dict(self) -> dict:
-        return {
-            "psi": self.psi,
-            "precision": self.precision,
-            "offset_m": self.offset_m,
-            "fnr": self.fnr,
-            "per_candidate": self.per_candidate,
-        }
-
-
-def _candidate_id_lists(result) -> list[tuple[str, ...]]:
-    return [c.node_ids for c in result.candidates]
+        return asdict(self)
 
 
 def success_rate(result, gt: GroundTruth) -> float:
     """Fraction of ground-truth nodes covered by any candidate (0 if none)."""
     gt_set = set(gt.node_ids)
     covered: set[str] = set()
-    for ids in _candidate_id_lists(result):
-        covered |= set(ids) & gt_set
+    for c in result.candidates:
+        covered |= set(c.node_ids) & gt_set
     return len(covered) / gt.q_star
-
-
-def precision(result, gt: GroundTruth) -> float:
-    """Mean fraction of ground-truth nodes each candidate gets right.
-
-    Raises:
-        EmptyResult: there are no candidates to score.
-    """
-    cands = _candidate_id_lists(result)
-    if not cands:
-        raise EmptyResult("no candidates to score")
-    gt_set = set(gt.node_ids)
-    correct = sum(len(set(ids) & gt_set) for ids in cands)
-    return correct / (len(cands) * gt.q_star)
-
-
-def false_negative_rate(result, gt: GroundTruth) -> float:
-    """Mean fraction of ground-truth nodes each candidate misses.
-
-    Raises:
-        EmptyResult: there are no candidates to score.
-    """
-    cands = _candidate_id_lists(result)
-    if not cands:
-        raise EmptyResult("no candidates to score")
-    gt_set = set(gt.node_ids)
-    missed = sum(len(gt_set - set(ids)) for ids in cands)
-    return missed / (len(cands) * gt.q_star)
 
 
 def _pair_distance_m(gt_ids, cand_ids, g) -> tuple[float, int]:
@@ -125,32 +87,13 @@ def _pair_distance_m(gt_ids, cand_ids, g) -> tuple[float, int]:
     return min(total(cand_ids), total(cand_ids[::-1])), n
 
 
-def distance_offset(result, gt: GroundTruth, g) -> float:
-    """Mean per-candidate summed node displacement, normalized by Q*.
-
-    Candidate nodes pair with ground-truth nodes by index; each candidate
-    is tried in both travel directions and the smaller sum counts.
-
-    Raises:
-        EmptyResult: there are no candidates to score.
-    """
-    cands = _candidate_id_lists(result)
-    if not cands:
-        raise EmptyResult("no candidates to score")
-    total = 0.0
-    for ids in cands:
-        d, _n = _pair_distance_m(gt.node_ids, ids, g)
-        total += d
-    return total / (len(cands) * gt.q_star)
-
-
 def evaluate(result, gt: GroundTruth, g) -> EvalReport:
     """All four metrics plus per-candidate tallies.
 
     An empty result is a valid finding: psi is 0 and the per-candidate
     metrics are None.
     """
-    cands = _candidate_id_lists(result)
+    cands = [c.node_ids for c in result.candidates]
     psi = success_rate(result, gt)
     if not cands:
         return EvalReport(psi=psi, precision=None, offset_m=None, fnr=None, per_candidate=[])
@@ -158,8 +101,6 @@ def evaluate(result, gt: GroundTruth, g) -> EvalReport:
     per = []
     correct_total = missed_total = 0
     distance_total = 0.0
-    # the totals accumulate in the standalone metrics' order, so the
-    # report carries their exact values
     for ids in cands:
         correct = len(set(ids) & gt_set)
         missed = len(gt_set - set(ids))

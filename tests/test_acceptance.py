@@ -23,13 +23,8 @@ from canmatch.matcher import (
     match_paths,
     run_attack,
 )
-from canmatch.metrics import (
-    GroundTruth,
-    evaluate,
-    false_negative_rate,
-    precision,
-    success_rate,
-)
+from canmatch.metrics import GroundTruth, evaluate
+from canmatch.roadnet import RoadGraph
 from canmatch.simulate import (
     DriveProfile,
     make_synthetic_grid,
@@ -37,7 +32,7 @@ from canmatch.simulate import (
     synthesize_can,
 )
 from canmatch.trajgraph import build_trajectory, compute_threshold, positions_m
-from helpers import path_weights, random_graph, some_path, traj_of
+from helpers import equator_node, path_weights, random_graph, some_path, traj_of
 
 
 # --- 1: the pruned search returns exactly what exhaustive enumeration does
@@ -168,9 +163,11 @@ class _Result:
         ]
 
 
+@pytest.mark.filterwarnings("ignore::canmatch.errors.PairingTruncated")
 def test_metric_identities_on_random_ranked_results():
     rng = np.random.default_rng(83)
     pool = [f"v{i}" for i in range(30)]
+    g = RoadGraph([equator_node(v, 100.0 * i) for i, v in enumerate(pool)], [])
     for _ in range(100):
         q = int(rng.integers(2, 9))
         gt = GroundTruth(node_ids=tuple(rng.choice(pool, size=q, replace=False)))
@@ -180,11 +177,10 @@ def test_metric_identities_on_random_ranked_results():
         ]
         prev = 0.0
         for k in range(1, 11):
-            res = _Result(ranked[:k])
-            assert precision(res, gt) + false_negative_rate(res, gt) == 1.0
-            psi = success_rate(res, gt)
-            assert psi >= prev
-            prev = psi
+            rep = evaluate(_Result(ranked[:k]), gt, g)
+            assert rep.precision + rep.fnr == 1.0
+            assert rep.psi >= prev
+            prev = rep.psi
 
 
 # --- 7: widening the tolerance never loses a candidate

@@ -6,17 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from canmatch.errors import EmptyResult, PairingTruncated
+from canmatch.errors import PairingTruncated
+from canmatch.geo import haversine_m
 from canmatch.matcher import CandidatePath
-from canmatch.metrics import (
-    EvalReport,
-    GroundTruth,
-    distance_offset,
-    evaluate,
-    false_negative_rate,
-    precision,
-    success_rate,
-)
+from canmatch.metrics import EvalReport, GroundTruth, evaluate, success_rate
 from canmatch.roadnet import RoadGraph
 from helpers import equator_node, line_graph
 
@@ -70,52 +63,52 @@ def test_success_rate_empty_result_is_zero():
     assert success_rate(_Result([]), _gt("a", "b")) == 0.0
 
 
-# --- precision
+# --- precision: the mean fraction of true nodes each candidate gets right
+
+
+def _letters_graph() -> RoadGraph:
+    # one node per id the tallies below use; precision and FNR ignore where
+    return RoadGraph([equator_node(n, 100.0 * i) for i, n in enumerate("abcdexyzw")], [])
+
+
+def _report(id_lists, gt: GroundTruth) -> EvalReport:
+    return evaluate(_Result(id_lists), gt, _letters_graph())
 
 
 def test_precision_perfect():
-    assert precision(_Result([("a", "b")]), _gt("a", "b")) == 1.0
+    assert _report([("a", "b")], _gt("a", "b")).precision == 1.0
 
 
 def test_precision_averages_per_candidate_coverage():
+    # covers {4, 2} of 5 -> (0.8 + 0.4) / 2
     gt = _gt("a", "b", "c", "d", "e")
-    res = _Result([("a", "b", "c", "d", "x"), ("a", "b", "y", "z", "w")])
-    assert precision(res, gt) == pytest.approx(0.6)
+    rep = _report([("a", "b", "c", "d", "x"), ("a", "b", "y", "z", "w")], gt)
+    assert rep.precision == pytest.approx(0.6)
 
 
 def test_precision_fully_wrong_candidate():
-    assert precision(_Result([("x", "y")]), _gt("a", "b")) == 0.0
+    assert _report([("x", "y")], _gt("a", "b")).precision == 0.0
 
 
-def test_precision_empty_raises():
-    with pytest.raises(EmptyResult):
-        precision(_Result([]), _gt("a", "b"))
-
-
-# --- false negative rate
+# --- false negative rate: the mean fraction of true nodes each candidate misses
 
 
 def test_fnr_perfect_candidate():
-    assert false_negative_rate(_Result([("a", "b")]), _gt("a", "b")) == 0.0
+    assert _report([("a", "b")], _gt("a", "b")).fnr == 0.0
 
 
 def test_fnr_averages_missed_fractions():
     # misses {1, 3} of 5 -> (0.2 + 0.6) / 2
     gt = _gt("a", "b", "c", "d", "e")
-    res = _Result([("a", "b", "c", "d", "x"), ("a", "b", "y", "z", "w")])
-    assert false_negative_rate(res, gt) == pytest.approx(0.4)
+    rep = _report([("a", "b", "c", "d", "x"), ("a", "b", "y", "z", "w")], gt)
+    assert rep.fnr == pytest.approx(0.4)
 
 
 def test_fnr_fully_wrong_candidate():
-    assert false_negative_rate(_Result([("x", "y")]), _gt("a", "b")) == 1.0
+    assert _report([("x", "y")], _gt("a", "b")).fnr == 1.0
 
 
-def test_fnr_empty_raises():
-    with pytest.raises(EmptyResult):
-        false_negative_rate(_Result([]), _gt("a", "b"))
-
-
-# --- distance offset
+# --- distance offset: the mean summed node displacement over Q*
 
 
 def _offset_graph() -> RoadGraph:
@@ -132,35 +125,24 @@ def _offset_graph() -> RoadGraph:
 def test_offset_zero_for_identical_candidate():
     g, ids = line_graph([500.0, 600.0])
     gt = GroundTruth(node_ids=tuple(ids))
-    assert distance_offset(_Result([tuple(ids)]), gt, g) == 0.0
+    assert evaluate(_Result([tuple(ids)]), gt, g).offset_m == 0.0
 
 
 def test_offset_sums_pair_distances_then_normalizes():
-    g = _offset_graph()
-    gt = _gt("t0", "t1")
-    res = _Result([("c0", "c1")])
-    assert distance_offset(res, gt, g) == pytest.approx(1000.0, rel=1e-9)
+    rep = evaluate(_Result([("c0", "c1")]), _gt("t0", "t1"), _offset_graph())
+    assert rep.offset_m == pytest.approx(1000.0, rel=1e-9)
 
 
 def test_offset_uses_better_orientation():
-    g = _offset_graph()
-    gt = _gt("t0", "t1")
     # reversed candidate pairs c1-t0/c0-t1 unless the orientation flips
-    res = _Result([("c1", "c0")])
-    assert distance_offset(res, gt, g) == pytest.approx(1000.0, rel=1e-9)
+    rep = evaluate(_Result([("c1", "c0")]), _gt("t0", "t1"), _offset_graph())
+    assert rep.offset_m == pytest.approx(1000.0, rel=1e-9)
 
 
 def test_offset_unequal_lengths_warns_and_truncates():
-    g = _offset_graph()
-    gt = _gt("t0", "t1")
     with pytest.warns(PairingTruncated):
-        d = distance_offset(_Result([("c0",)]), gt, g)
-    assert d == pytest.approx(1000.0 / 2, rel=1e-9)
-
-
-def test_offset_empty_raises():
-    with pytest.raises(EmptyResult):
-        distance_offset(_Result([]), _gt("a", "b"), _offset_graph())
+        rep = evaluate(_Result([("c0",)]), _gt("t0", "t1"), _offset_graph())
+    assert rep.offset_m == pytest.approx(1000.0 / 2, rel=1e-9)
 
 
 # --- evaluate
@@ -184,13 +166,21 @@ def test_evaluate_per_candidate_tallies():
             "mean_pair_distance_m": pytest.approx(500.0, rel=1e-9),
         }
     ]
-    assert rep.to_dict()["psi"] == 0.5
+    assert rep.to_dict() == {
+        "psi": 0.5,
+        "precision": 0.5,
+        "offset_m": pytest.approx(500.0, rel=1e-9),
+        "fnr": 0.5,
+        "per_candidate": rep.per_candidate,
+    }
 
 
-def test_evaluate_pairs_each_candidate_once_and_matches_the_standalone_metrics():
+def test_evaluate_pairs_each_candidate_once_and_matches_metrics_recomputed_pair_by_pair():
     rng = np.random.default_rng(61)
     xs = rng.uniform(0.0, 5000.0, size=30)
-    g = RoadGraph([equator_node(f"v{i}", float(x)) for i, x in enumerate(xs)], [])
+    nodes = [equator_node(f"v{i}", float(x)) for i, x in enumerate(xs)]
+    g = RoadGraph(nodes, [])
+    at = {n.id: (n.lat, n.lon) for n in nodes}
     pool = sorted(g.nodes)
     for _ in range(50):
         q = int(rng.integers(2, 9))
@@ -206,17 +196,32 @@ def test_evaluate_pairs_each_candidate_once_and_matches_the_standalone_metrics()
             rep = evaluate(res, gt, g)
         unequal = sum(len(c.node_ids) != q for c in res.candidates)
         assert sum(w.category is PairingTruncated for w in caught) == unequal
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", PairingTruncated)
-            offset = distance_offset(res, gt, g)
-        assert rep.precision == precision(res, gt)
-        assert rep.offset_m == offset
-        assert rep.fnr == false_negative_rate(res, gt)
+
+        truth = set(gt.node_ids)
+        correct = missed = 0
+        distance = 0.0
+        for c in res.candidates:
+            correct += len(truth & set(c.node_ids))
+            missed += len(truth - set(c.node_ids))
+            n = min(q, len(c.node_ids))
+            sums = []
+            for ids in (c.node_ids, c.node_ids[::-1]):
+                s = 0.0
+                for a, b in zip(gt.node_ids[:n], ids[:n]):
+                    s += float(haversine_m(*at[a], *at[b]))
+                sums.append(s)
+            distance += min(sums)
+        scale = len(res.candidates) * q
+        assert rep.precision == correct / scale
+        assert rep.offset_m == distance / scale
+        assert rep.fnr == missed / scale
 
 
+@pytest.mark.filterwarnings("ignore::canmatch.errors.PairingTruncated")
 def test_precision_and_fnr_sum_to_one_exactly():
     rng = np.random.default_rng(59)
     pool = [f"v{i}" for i in range(30)]
+    g = RoadGraph([equator_node(v, 100.0 * i) for i, v in enumerate(pool)], [])
     for _ in range(200):
         q = int(rng.integers(2, 9))
         gt = GroundTruth(node_ids=tuple(rng.choice(pool, size=q, replace=False)))
@@ -225,8 +230,8 @@ def test_precision_and_fnr_sum_to_one_exactly():
         for _ in range(k):
             m = int(rng.integers(1, 9))
             lists.append(tuple(rng.choice(pool, size=m, replace=False)))
-        res = _Result(lists)
-        assert precision(res, gt) + false_negative_rate(res, gt) == 1.0
+        rep = evaluate(_Result(lists), gt, g)
+        assert rep.precision + rep.fnr == 1.0
 
 
 def test_success_rate_never_decreases_with_k():
@@ -246,14 +251,17 @@ def test_success_rate_never_decreases_with_k():
             prev = psi
 
 
+@pytest.mark.filterwarnings("ignore::canmatch.errors.PairingTruncated")
 def test_success_rate_equals_precision_at_k1():
     rng = np.random.default_rng(67)
     pool = [f"v{i}" for i in range(15)]
+    g = RoadGraph([equator_node(v, 100.0 * i) for i, v in enumerate(pool)], [])
     for _ in range(50):
         q = int(rng.integers(2, 7))
         gt = GroundTruth(node_ids=tuple(rng.choice(pool, size=q, replace=False)))
         res = _Result([tuple(rng.choice(pool, size=int(rng.integers(1, 7)), replace=False))])
-        assert success_rate(res, gt) == precision(res, gt)
+        rep = evaluate(res, gt, g)
+        assert rep.psi == rep.precision
 
 
 def test_metrics_survive_consistent_relabeling():
