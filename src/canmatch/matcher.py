@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import mmap
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -71,22 +71,10 @@ class AttackResult:
         return {
             "sigma_used": self.sigma_used,
             "truncated": self.truncated,
-            "config": {
-                "sigma_ladder": list(self.config.sigma_ladder),
-                "k": self.config.k,
-                "max_candidates": self.config.max_candidates,
-                "allow_node_reuse": self.config.allow_node_reuse,
-            },
+            "config": asdict(self.config),
             "trajectory": self.trajectory.to_dict(),
             "candidates": [
-                {
-                    "rank": rank,
-                    "node_ids": list(c.node_ids),
-                    "edge_lengths_m": list(c.edge_lengths_m),
-                    "residuals_m": list(c.residuals_m),
-                    "theta_m": c.theta_m,
-                    "sigma_used": c.sigma_used,
-                }
+                {"rank": rank, **asdict(c)}
                 for rank, c in enumerate(self.candidates, start=1)
             ],
         }
@@ -114,11 +102,8 @@ def result_from_dict(doc: dict) -> AttackResult:
     )
 
 
-def _edge_weights(traj) -> np.ndarray:
-    wr = np.asarray(
-        traj.edge_weights_m if isinstance(traj, TrajectoryGraph) else traj,
-        dtype=np.float64,
-    )
+def _edge_weights(traj: TrajectoryGraph) -> np.ndarray:
+    wr = np.asarray(traj.edge_weights_m, dtype=np.float64)
     if wr.size < 1:
         raise TrajectoryTooShort("trajectory has no edges to match")
     return wr

@@ -229,11 +229,7 @@ def build_trajectory(
                     stacklevel=2,
                 )
             continue
-        try:
-            delta = compute_threshold(gap_series(cands))
-        except InsufficientData:
-            continue
-        branch = extract_nodes(cands, delta)
+        branch = extract_nodes(cands, compute_threshold(gap_series(cands)))
         if include_first_event:
             branch.insert(0, TrajectoryNode(float(cands.times[0]), cands.kind))
         nodes.extend(branch)

@@ -299,6 +299,34 @@ def test_attack_result_round_trips_through_json():
     assert back.trajectory.to_dict() == res.trajectory.to_dict()
 
 
+def test_result_document_spells_out_every_config_and_candidate_field():
+    traj = traj_of([100.0])
+    cfg = MatchConfig(sigma_ladder=(0.1, 0.3), k=2, max_candidates=7, allow_node_reuse=True)
+    cand = CandidatePath(("a", "b"), (101.0,), (1.0,), 1.0, 0.1)
+    doc = AttackResult([cand], traj, cfg, sigma_used=0.1).to_dict()
+    assert json.loads(json.dumps(doc)) == {
+        "sigma_used": 0.1,
+        "truncated": False,
+        "config": {
+            "sigma_ladder": [0.1, 0.3],
+            "k": 2,
+            "max_candidates": 7,
+            "allow_node_reuse": True,
+        },
+        "trajectory": traj.to_dict(),
+        "candidates": [
+            {
+                "rank": 1,
+                "node_ids": ["a", "b"],
+                "edge_lengths_m": [101.0],
+                "residuals_m": [1.0],
+                "theta_m": 1.0,
+                "sigma_used": 0.1,
+            }
+        ],
+    }
+
+
 def test_run_attack_reports_sigma_used():
     g = triangle_graph()
     res = run_attack(g, traj_of([100.0]), MatchConfig(sigma_ladder=(0.05, 0.1), k=2))
