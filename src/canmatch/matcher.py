@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import mmap
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -68,13 +68,15 @@ class AttackResult:
     truncated: bool = False
 
     def to_dict(self) -> dict:
+        # vars, not dataclasses.asdict: asdict deep-copies every leaf value,
+        # and this runs on every attack
         return {
             "sigma_used": self.sigma_used,
             "truncated": self.truncated,
-            "config": asdict(self.config),
+            "config": dict(vars(self.config)),
             "trajectory": self.trajectory.to_dict(),
             "candidates": [
-                {"rank": rank, **asdict(c)}
+                {"rank": rank, **vars(c)}
                 for rank, c in enumerate(self.candidates, start=1)
             ],
         }
