@@ -67,7 +67,7 @@ def test_success_rate_empty_result_is_zero():
 
 
 def _letters_graph() -> RoadGraph:
-    # one node per id the tallies below use; precision and FNR ignore where
+    # one node for each id below; precision and FNR do not depend on where they lie
     return RoadGraph([equator_node(n, 100.0 * i) for i, n in enumerate("abcdexyzw")], [])
 
 
