@@ -90,6 +90,10 @@ def test_precision_fully_wrong_candidate():
     assert _report([("x", "y")], _gt("a", "b")).precision == 0.0
 
 
+def test_precision_empty_result_is_none():
+    assert _report([], _gt("a", "b")).precision is None
+
+
 # --- false negative rate: the mean fraction of true nodes each candidate misses
 
 
@@ -106,6 +110,10 @@ def test_fnr_averages_missed_fractions():
 
 def test_fnr_fully_wrong_candidate():
     assert _report([("x", "y")], _gt("a", "b")).fnr == 1.0
+
+
+def test_fnr_empty_result_is_none():
+    assert _report([], _gt("a", "b")).fnr is None
 
 
 # --- distance offset: the mean summed node displacement over Q*
@@ -143,6 +151,10 @@ def test_offset_unequal_lengths_warns_and_truncates():
     with pytest.warns(PairingTruncated):
         rep = evaluate(_Result([("c0",)]), _gt("t0", "t1"), _offset_graph())
     assert rep.offset_m == pytest.approx(1000.0 / 2, rel=1e-9)
+
+
+def test_offset_empty_result_is_none():
+    assert evaluate(_Result([]), _gt("t0", "t1"), _offset_graph()).offset_m is None
 
 
 # --- evaluate
