@@ -62,7 +62,7 @@ def _read_json(path: str, what: str, decode=None):
         raise SchemaMismatch(f"{what} file {path} is not UTF-8 text: {exc}") from None
     try:
         return decode(doc) if decode else doc
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         msg = f"{what} file {path} has a missing or malformed field: {exc}"
         raise SchemaMismatch(msg) from None
 
@@ -305,7 +305,7 @@ def _sweep_trial(
     task: tuple,
 ) -> tuple:
     """One (cell, trial) run; module-level so worker processes can pick it up."""
-    idx, side_km, q, trial, mcfg = task
+    side_km, q, trial, mcfg = task
     si = int(round(side_km * 1000))
     grid_n = max(2, int(round(side_km * 1000.0 / spacing_m)) + 1)
     g = simulate.make_synthetic_grid(
@@ -322,10 +322,10 @@ def _sweep_trial(
         result = matcher.run_attack(g, traj, mcfg)
         report = metrics.evaluate(result, gt, g)
     except NothingProduced:
-        return (idx, 0.0, None, None, None, 0)
+        return (0.0, None, None, None, 0)
     if not result.candidates:
-        return (idx, report.psi, None, None, None, 0)
-    return (idx, report.psi, report.precision, report.offset_m, report.fnr, 1)
+        return (report.psi, None, None, None, 0)
+    return (report.psi, report.precision, report.offset_m, report.fnr, 1)
 
 
 def cmd_sweep(args, opts) -> int:
@@ -352,9 +352,7 @@ def cmd_sweep(args, opts) -> int:
 
     cells = [(s, q, k) for s in sides for q in qs for k in ks]
     tasks = [
-        (ci * trials + trial, side_km, q, trial, config_of_k[k])
-        for ci, (side_km, q, k) in enumerate(cells)
-        for trial in range(trials)
+        (side_km, q, trial, config_of_k[k]) for side_km, q, k in cells for trial in range(trials)
     ]
     run_trial = functools.partial(_sweep_trial, master, spacing, grid_jitter, profile)
     t0 = time.monotonic()
@@ -363,20 +361,19 @@ def cmd_sweep(args, opts) -> int:
             rows = list(pool.map(run_trial, tasks, chunksize=1))
     else:
         rows = [run_trial(t) for t in tasks]
-    rows.sort(key=lambda r: r[0])
 
     lines = [
         "side_km,q,k,trials,matched,psi_mean,precision_mean,offset_m_mean,fnr_mean"
     ]
     for ci, (side_km, q, k) in enumerate(cells):
         chunk = rows[ci * trials : (ci + 1) * trials]
-        psi = np.mean([r[1] for r in chunk])
-        matched = [r for r in chunk if r[5]]
+        psi = np.mean([r[0] for r in chunk])
+        matched = [r for r in chunk if r[4]]
         n_matched = len(matched)
         # unmatched trials pin coverage metrics to their floor values
-        prec = np.mean([r[2] if r[5] else 0.0 for r in chunk])
-        fnr = np.mean([r[4] if r[5] else 1.0 for r in chunk])
-        offset = np.mean([r[3] for r in matched]) if matched else None
+        prec = np.mean([r[1] if r[4] else 0.0 for r in chunk])
+        fnr = np.mean([r[3] if r[4] else 1.0 for r in chunk])
+        offset = np.mean([r[2] for r in matched]) if matched else None
         lines.append(
             f"{side_km:g},{q},{k},{trials},{n_matched},"
             f"{psi:.6f},{prec:.6f},"

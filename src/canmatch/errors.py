@@ -42,7 +42,8 @@ class NonMonotonicTime(InputError):
 # --- road network ---
 
 class XmlMalformed(InputError):
-    """The OSM input is not well-formed XML."""
+    """The OSM input is not UTF-8 or well-formed XML, or lacks an attribute
+    or a numeric coordinate."""
 
 
 class NoDrivableWays(InputError):

@@ -242,7 +242,8 @@ def parse_osm_xml(xml_text) -> RoadGraph:
         xml_text: str or bytes of an OSM XML document.
 
     Raises:
-        XmlMalformed: input is not well-formed XML.
+        XmlMalformed: input is not well-formed XML, an element lacks an
+            attribute read here, or a coordinate is not a number.
         NoDrivableWays: nothing drivable in the input.
         DanglingNodeRef: a way references an undefined node.
     """
@@ -254,17 +255,21 @@ def parse_osm_xml(xml_text) -> RoadGraph:
         raise XmlMalformed(f"cannot parse OSM XML: {exc}") from None
 
     coords: dict[str, tuple[float, float]] = {}
-    for nd in root.iter("node"):
-        coords[nd.attrib["id"]] = (float(nd.attrib["lat"]), float(nd.attrib["lon"]))
-
     ways: list[list[str]] = []
-    for way in root.iter("way"):
-        tags = {t.attrib.get("k"): t.attrib.get("v") for t in way.findall("tag")}
-        if tags.get("highway") not in DRIVABLE_HIGHWAYS:
-            continue
-        refs = [nd.attrib["ref"] for nd in way.findall("nd")]
-        if len(refs) >= 2:
-            ways.append(refs)
+    try:
+        for nd in root.iter("node"):
+            coords[nd.attrib["id"]] = (float(nd.attrib["lat"]), float(nd.attrib["lon"]))
+        for way in root.iter("way"):
+            tags = {t.attrib.get("k"): t.attrib.get("v") for t in way.findall("tag")}
+            if tags.get("highway") not in DRIVABLE_HIGHWAYS:
+                continue
+            refs = [nd.attrib["ref"] for nd in way.findall("nd")]
+            if len(refs) >= 2:
+                ways.append(refs)
+    except KeyError as exc:
+        raise XmlMalformed(f"an OSM element lacks its {exc} attribute") from None
+    except ValueError as exc:
+        raise XmlMalformed(f"an OSM node coordinate is not a number: {exc}") from None
     if not ways:
         raise NoDrivableWays("no drivable highway ways in input")
 
@@ -297,8 +302,13 @@ def parse_osm_xml(xml_text) -> RoadGraph:
 
 
 def read_osm_xml(path) -> RoadGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_osm_xml(fh.read())
+    """parse_osm_xml of a file; XmlMalformed when the file is not UTF-8 text."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise XmlMalformed(f"OSM file {path} is not UTF-8 text: {exc}") from None
+    return parse_osm_xml(text)
 
 
 def graph_from_dict(doc: dict) -> RoadGraph:

@@ -3,6 +3,8 @@
 Stops (zero speed) and turns (pedal at idle) become graph nodes; the edge
 between consecutive nodes is weighted with the driven distance obtained by
 rectangle-integrating the speed signal between the two event times.
+Candidates, extraction and merging work on arrays of event times and a turn
+flag; only the events that survive merging become TrajectoryNodes.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .errors import DegenerateClusters, InsufficientData, NoCandidates, TooFewNo
 
 KIND_STOP = "stop"
 KIND_TURN = "turn"
+_KINDS = (KIND_STOP, KIND_TURN)  # indexed by the turn flag
 
 KMH_TO_MS = 1.0 / 3.6
 
@@ -29,18 +32,6 @@ _GAP_RTOL = 1e-9
 class TrajectoryNode:
     event_time_s: float
     kind: str
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    """Times of samples that look like one kind of driving event."""
-
-    times: np.ndarray
-    kind: str
-
-    @property
-    def count(self) -> int:
-        return int(self.times.size)
 
 
 @dataclass
@@ -67,8 +58,8 @@ class TrajectoryGraph:
         return cls(nodes=nodes, edge_weights_m=weights)
 
 
-def candidate_points(series, *, pedal_idle_tol: float = 0.5) -> CandidateSet:
-    """Samples marking potential stops or turns.
+def candidate_points(series, *, pedal_idle_tol: float = 0.5) -> np.ndarray:
+    """Times of the samples marking potential stops or turns.
 
     A SpeedSeries yields stop candidates (speed exactly zero). A PedalSeries
     yields turn candidates (value within pedal_idle_tol of the series
@@ -85,18 +76,7 @@ def candidate_points(series, *, pedal_idle_tol: float = 0.5) -> CandidateSet:
     times = series.times[mask]
     if times.size == 0:
         warnings.warn(f"no {kind} candidates in series", NoCandidates, stacklevel=2)
-    return CandidateSet(times=times, kind=kind)
-
-
-def gap_series(cands: CandidateSet) -> np.ndarray:
-    """Time differences between consecutive candidates.
-
-    Raises:
-        InsufficientData: fewer than 2 candidates, so no gap exists.
-    """
-    if cands.count < 2:
-        raise InsufficientData(f"need at least 2 candidates, got {cands.count}")
-    return np.diff(cands.times)
+    return times
 
 
 def compute_threshold(gaps) -> float:
@@ -134,18 +114,15 @@ def compute_threshold(gaps) -> float:
     return float(xs[split - 1])
 
 
-def extract_nodes(cands: CandidateSet, delta: float) -> list[TrajectoryNode]:
-    """Emit a node at every candidate whose gap to the previous one is >= delta.
+def extract_nodes(times, delta: float) -> np.ndarray:
+    """Times of the candidates whose gap to the previous one is >= delta.
 
     The first candidate never fires: it has no predecessor gap.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    t = cands.times
-    if t.size < 2:
-        return []
-    fire = np.diff(t) >= delta * (1.0 - _GAP_RTOL)
-    return [TrajectoryNode(float(ts), cands.kind) for ts in t[1:][fire]]
+    t = np.asarray(times, dtype=np.float64)
+    return t[1:][np.diff(t) >= delta * (1.0 - _GAP_RTOL)]
 
 
 def positions_m(speed: SpeedSeries, times) -> np.ndarray:
@@ -162,37 +139,35 @@ def positions_m(speed: SpeedSeries, times) -> np.ndarray:
     return cum[np.searchsorted(speed.times, times, side="left")]
 
 
-def _node_order(n: TrajectoryNode) -> tuple[float, int]:
-    """Time order; co-timed pairs put the turn first so merging deletes it.
-
-    A stopped vehicle reads pedal-idle too, so one physical stop yields a
-    stop node and a turn node at the same instant. Zero speed is the
-    unambiguous signal: the stop must be the survivor of that pair.
-    """
-    return (n.event_time_s, 0 if n.kind == KIND_TURN else 1)
-
-
 def merge_nodes(
-    nodes: list[TrajectoryNode], speed: SpeedSeries, min_edge_m: float
-) -> list[TrajectoryNode]:
-    """Collapse nodes closer than the shortest road edge.
+    times, is_turn, speed: SpeedSeries, min_edge_m: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Collapse events closer than the shortest road edge.
 
-    In time order, a node is deleted when the driven distance to the node
+    Events are taken in time order, co-timed turns first: a stopped vehicle
+    reads pedal-idle too, so one physical stop yields a stop and a turn at
+    the same instant, and zero speed, the unambiguous signal, must survive
+    that pair. An event is deleted when the driven distance to the event
     after it falls below min_edge_m. Driven distance never decreases, so
-    the survivor before a deleted node is at least as far from that next
-    node: deletions never cascade, and walking pairs with a step back after
-    each deletion keeps the same nodes. Afterwards every remaining
-    inter-node distance is >= min_edge_m.
+    the survivor before a deleted event is at least as far from that next
+    event: deletions never cascade, and walking pairs with a step back
+    after each deletion keeps the same events. Afterwards every remaining
+    inter-event distance is >= min_edge_m.
+
+    Returns:
+        The indices into times and is_turn of the surviving events, in time
+        order, and their positions_m.
     """
     if min_edge_m <= 0:
         raise ValueError("min_edge_m must be positive")
-    ordered = sorted(nodes, key=_node_order)
-    pos = positions_m(speed, [n.event_time_s for n in ordered])
+    times = np.asarray(times, dtype=np.float64)
+    order = np.lexsort((~np.asarray(is_turn, dtype=bool), times))
+    pos = positions_m(speed, times[order])
     # relative slack: a distance float-equal to the cutoff must survive
     cutoff = min_edge_m * (1.0 - _GAP_RTOL)
-    keep = np.ones(len(ordered), dtype=bool)
+    keep = np.ones(order.size, dtype=bool)
     keep[:-1] = ~(np.diff(pos) < cutoff)
-    return [ordered[i] for i in np.flatnonzero(keep)]
+    return order[keep], pos[keep]
 
 
 def build_trajectory(
@@ -218,26 +193,23 @@ def build_trajectory(
     Raises:
         TooFewNodes: fewer than 2 nodes survive merging.
     """
-    nodes: list[TrajectoryNode] = []
-    for series in (log.speed, log.pedal):
+    times, is_turn = np.empty(0), np.empty(0, dtype=bool)
+    for series, turn in ((log.speed, False), (log.pedal, True)):
         cands = candidate_points(series, pedal_idle_tol=pedal_idle_tol)
-        if cands.count < 3:
-            if cands.count:
-                warnings.warn(
-                    f"only {cands.count} {cands.kind} candidate(s); branch skipped",
-                    NoCandidates,
-                    stacklevel=2,
-                )
+        if cands.size < 3:
+            if cands.size:
+                msg = f"only {cands.size} {_KINDS[turn]} candidate(s); branch skipped"
+                warnings.warn(msg, NoCandidates, stacklevel=2)
             continue
-        branch = extract_nodes(cands, compute_threshold(gap_series(cands)))
+        fired = extract_nodes(cands, compute_threshold(np.diff(cands)))
         if include_first_event:
-            branch.insert(0, TrajectoryNode(float(cands.times[0]), cands.kind))
-        nodes.extend(branch)
+            fired = np.concatenate((cands[:1], fired))
+        times = np.concatenate((times, fired))
+        is_turn = np.concatenate((is_turn, np.full(fired.size, turn)))
 
-    merged = merge_nodes(nodes, log.speed, min_edge_m) if nodes else []
-    if len(merged) < 2:
-        raise TooFewNodes(
-            f"{len(merged)} node(s) after merging; need at least 2 for one edge"
-        )
-    pos = positions_m(log.speed, [n.event_time_s for n in merged])
-    return TrajectoryGraph(nodes=merged, edge_weights_m=np.diff(pos))
+    rows, pos = merge_nodes(times, is_turn, log.speed, min_edge_m) if times.size else ([], [])
+    if len(rows) < 2:
+        raise TooFewNodes(f"{len(rows)} node(s) after merging; need at least 2 for one edge")
+    kinds = [_KINDS[turn] for turn in is_turn[rows].tolist()]
+    nodes = [TrajectoryNode(t, k) for t, k in zip(times[rows].tolist(), kinds)]
+    return TrajectoryGraph(nodes=nodes, edge_weights_m=np.diff(pos))

@@ -27,10 +27,10 @@ from canmatch.geo import EARTH_RADIUS_M, M_PER_DEG_LAT, haversine_m
 from canmatch.roadnet import RoadEdge, RoadGraph, RoadNode
 from canmatch.simulate import MS_TO_KMH
 from canmatch.trajgraph import (
+    KIND_TURN,
     TrajectoryGraph,
     TrajectoryNode,
     _GAP_RTOL,
-    _node_order,
     positions_m,
 )
 
@@ -353,15 +353,16 @@ def reference_synthesize_can(gt, g: RoadGraph, p) -> CanLog:
 def reference_merge_nodes(
     nodes: list[TrajectoryNode], speed: SpeedSeries, min_edge_m: float
 ) -> list[TrajectoryNode]:
-    """Pairwise merge walk with merge_nodes' contract.
+    """Pairwise merge walk with merge_nodes' contract, on node objects.
 
-    Walking consecutive pairs in time order, when the driven distance
-    between a pair falls below min_edge_m the earlier node is deleted and
-    comparison steps back to the pair before it. Distances are differences
-    of positions_m, so this pins the walk, not the integral. The function
-    under test must keep the same nodes.
+    Walking consecutive pairs in time order, a co-timed turn before its
+    stop, when the driven distance between a pair falls below min_edge_m
+    the earlier node is deleted and comparison steps back to the pair
+    before it. Distances are differences of positions_m, so this pins the
+    walk, not the integral. The function under test must keep the same
+    nodes.
     """
-    merged = sorted(nodes, key=_node_order)
+    merged = sorted(nodes, key=lambda n: (n.event_time_s, n.kind != KIND_TURN))
     pos = positions_m(speed, [n.event_time_s for n in merged]).tolist()
     cutoff = min_edge_m * (1.0 - _GAP_RTOL)
     k = 0

@@ -75,6 +75,28 @@ def test_ingest_osm_footway_only_fails(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (b' lat="0.0"', b"", "lacks its 'lat' attribute"),
+        (b'<nd ref="b"/>', b"<nd/>", "lacks its 'ref' attribute"),
+        (b'lat="0.0"', b'lat="abc"', "coordinate is not a number"),
+        (b"<osm>", b"<osm>\xff", "is not UTF-8 text"),
+    ],
+    ids=["node without lat", "nd without ref", "non-numeric lat", "not UTF-8"],
+)
+def test_ingest_osm_malformed_input_exits_input_error(tmp_path, capsys, old, new, message):
+    xml = osm_xml({"a": (0.0, 0.0), "b": (0.0, 0.003)}, [(["a", "b"], "primary")])
+    src = tmp_path / "bad.osm"
+    src.write_bytes(xml.encode("utf-8").replace(old, new, 1))
+    rc = main(["ingest-osm", "--in", str(src), "--out", str(tmp_path / "g.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "kind=XmlMalformed" in err
+    assert message in err
+    assert not (tmp_path / "g.json").exists()
+
+
 def test_ingest_osm_missing_file(tmp_path):
     rc = main(
         ["ingest-osm", "--in", str(tmp_path / "nope.osm"), "--out", str(tmp_path / "g.json")]
@@ -509,17 +531,33 @@ def test_evaluate_on_unknown_node_id_exits_input_error(pipeline, tmp_path, capsy
     assert not (tmp_path / "report.json").exists()
 
 
+_MALFORMED = {
+    "no candidates": lambda d: d.pop("candidates"),
+    "unknown config key": lambda d: d["config"].update(sigma=0.1),
+    "non-numeric theta": lambda d: d["candidates"][0].update(theta_m="abc"),
+    "config k of 0": lambda d: d["config"].update(k=0),
+    "no node ids": lambda d: d.pop("node_ids"),
+    "one node": lambda d: d.update(node_ids=d["node_ids"][:1]),
+    "repeated node": lambda d: d["node_ids"].append(d["node_ids"][0]),
+}
+
+
 @pytest.mark.parametrize(
     "doc, fault",
-    [("result", "no candidates"), ("result", "unknown config key"), ("truth", "no node ids")],
+    [
+        ("result", "no candidates"),
+        ("result", "unknown config key"),
+        ("result", "non-numeric theta"),
+        ("result", "config k of 0"),
+        ("truth", "no node ids"),
+        ("truth", "one node"),
+        ("truth", "repeated node"),
+    ],
 )
 def test_evaluate_on_malformed_document_exits_input_error(pipeline, tmp_path, capsys, doc, fault):
     paths = {"result": pipeline / "attack" / "result.json", "truth": pipeline / "truth.json"}
     bad = json.loads(paths[doc].read_text())
-    if fault == "unknown config key":
-        bad["config"]["sigma"] = 0.1
-    else:
-        del bad["candidates" if doc == "result" else "node_ids"]
+    _MALFORMED[fault](bad)
     paths[doc] = tmp_path / f"{doc}.json"
     paths[doc].write_text(json.dumps(bad))
     rc = main(

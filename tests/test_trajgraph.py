@@ -19,7 +19,6 @@ from canmatch.trajgraph import (
     candidate_points,
     compute_threshold,
     extract_nodes,
-    gap_series,
     merge_nodes,
     positions_m,
 )
@@ -47,10 +46,20 @@ def _distance(series, t_a, t_b) -> float:
     return float(b - a)
 
 
-def _cands(times, kind="stop"):
-    from canmatch.trajgraph import CandidateSet
+def _merge(nodes, speed, min_edge_m) -> list[TrajectoryNode]:
+    """merge_nodes on the arrays of a node list, back as nodes; the positions
+    it returns must be those of the survivors."""
+    times = np.array([n.event_time_s for n in nodes], dtype=np.float64)
+    is_turn = np.array([n.kind == "turn" for n in nodes], dtype=bool)
+    rows, pos = merge_nodes(times, is_turn, speed, min_edge_m)
+    assert pos.tobytes() == positions_m(speed, times[rows]).tobytes()
+    return [nodes[i] for i in rows]
 
-    return CandidateSet(times=np.asarray(times, dtype=np.float64), kind=kind)
+
+def _stops_at(times, stops) -> SpeedSeries:
+    """Speed series over times: zero at the given stops, 36 km/h elsewhere."""
+    times = np.asarray(times, dtype=np.float64)
+    return _speed(times, np.where(np.isin(times, stops), 0.0, 36.0))
 
 
 # --- candidate extraction
@@ -58,43 +67,61 @@ def _cands(times, kind="stop"):
 
 def test_speed_candidates_are_zero_samples():
     c = candidate_points(_speed([0.0, 0.1, 0.2], [0.0, 5.0, 0.0]))
-    assert c.kind == "stop"
-    assert c.times.tolist() == [0.0, 0.2]
+    assert c.tolist() == [0.0, 0.2]
 
 
 def test_pedal_candidates_near_idle():
     c = candidate_points(_pedal([0.0, 0.1, 0.2], [14.0, 14.0, 30.0]))
-    assert c.kind == "turn"
-    assert c.times.tolist() == [0.0, 0.1]
+    assert c.tolist() == [0.0, 0.1]
 
 
 def test_no_candidates_warns():
     with pytest.warns(NoCandidates):
         c = candidate_points(_speed([0.0, 0.1], [3.0, 5.0]))
-    assert c.count == 0
+    assert c.size == 0
 
 
 def test_pedal_tolerance_is_configurable():
     series = _pedal([0.0, 0.1, 0.2], [14.0, 15.0, 30.0])
-    assert candidate_points(series).count == 1
-    assert candidate_points(series, pedal_idle_tol=1.5).count == 2
+    assert candidate_points(series).size == 1
+    assert candidate_points(series, pedal_idle_tol=1.5).size == 2
 
 
 # --- gaps and threshold
 
 
-def test_gap_series_example():
-    g = gap_series(_cands([0.0, 0.1, 45.3]))
-    assert g.tolist() == pytest.approx([0.1, 45.2])
+def test_candidate_gaps_example():
+    c = candidate_points(_stops_at([0.0, 0.1, 20.0, 45.3], [0.0, 0.1, 45.3]))
+    assert np.diff(c).tolist() == pytest.approx([0.1, 45.2])
+    assert compute_threshold(np.diff(c)) == pytest.approx(0.1)
 
 
-def test_gap_series_two_points():
-    assert gap_series(_cands([1.0, 2.5])).tolist() == [1.5]
+def _skipped_branch(stops, count):
+    # one idle pedal sample skips the turn branch too, so no event survives
+    times = np.arange(0.0, 100.0)
+    pedal = np.where(times == 50.0, 14.0, 30.0)
+    log = CanLog(speed=_stops_at(times, stops), pedal=_pedal(times.copy(), pedal))
+    with pytest.warns(NoCandidates, match=f"only {count} stop candidate"):
+        with pytest.raises(TooFewNodes):
+            build_trajectory(log, min_edge_m=50.0)
 
 
-def test_gap_series_single_point():
+@pytest.mark.filterwarnings("ignore::canmatch.errors.NoCandidates")
+def test_two_candidates_give_one_gap_and_no_threshold():
+    c = candidate_points(_stops_at([0.0, 1.0, 2.5, 9.0], [1.0, 2.5]))
+    assert np.diff(c).tolist() == [1.5]
     with pytest.raises(InsufficientData):
-        gap_series(_cands([1.0]))
+        compute_threshold(np.diff(c))
+    _skipped_branch([1.0, 3.0], 2)
+
+
+@pytest.mark.filterwarnings("ignore::canmatch.errors.NoCandidates")
+def test_single_candidate_gives_no_gap():
+    c = candidate_points(_stops_at([0.0, 1.0, 2.0], [1.0]))
+    assert np.diff(c).size == 0
+    with pytest.raises(InsufficientData):
+        compute_threshold(np.diff(c))
+    _skipped_branch([1.0], 1)
 
 
 def test_threshold_bimodal_example():
@@ -134,25 +161,22 @@ def test_threshold_separates_disjoint_supports():
 
 
 def test_extract_nodes_hand_trace():
-    c = _cands([0.0, 0.1, 0.2, 45.3, 45.4, 99.0])
-    nodes = extract_nodes(c, delta=1.0)
-    assert [n.event_time_s for n in nodes] == [45.3, 99.0]
-    assert all(n.kind == "stop" for n in nodes)
+    fired = extract_nodes(np.array([0.0, 0.1, 0.2, 45.3, 45.4, 99.0]), delta=1.0)
+    assert fired.tolist() == [45.3, 99.0]
 
 
 def test_extract_single_candidate_never_fires():
-    assert extract_nodes(_cands([3.0]), delta=0.5) == []
+    assert extract_nodes(np.array([3.0]), delta=0.5).size == 0
 
 
 def test_extract_all_gaps_below_delta():
-    assert extract_nodes(_cands([0.0, 0.1, 0.2]), delta=1.0) == []
+    assert extract_nodes(np.array([0.0, 0.1, 0.2]), delta=1.0).size == 0
 
 
 def test_extract_fires_on_float_equal_gap():
     # gaps equal to delta must fire even when 0.1-grid arithmetic wobbles
     times = np.arange(50) * 0.1
-    nodes = extract_nodes(_cands(times), delta=0.1)
-    assert len(nodes) == 49
+    assert extract_nodes(times, delta=0.1).size == 49
 
 
 # --- distance integration
@@ -197,7 +221,7 @@ def test_merge_hand_trace():
     # 10 m/s at 1 s sampling; nodes at 0/50/52/82 -> distances 500, 20, 300
     log = constant_speed_log(36.0, 120.0)
     nodes = [TrajectoryNode(t, "stop") for t in (0.0, 50.0, 52.0, 82.0)]
-    merged = merge_nodes(nodes, log.speed, 50.0)
+    merged = _merge(nodes, log.speed, 50.0)
     assert [n.event_time_s for n in merged] == [0.0, 52.0, 82.0]
     d1 = _distance(log.speed, 0.0, 52.0)
     d2 = _distance(log.speed, 52.0, 82.0)
@@ -208,14 +232,14 @@ def test_merge_hand_trace():
 def test_merge_noop_when_all_far():
     log = constant_speed_log(36.0, 100.0)
     nodes = [TrajectoryNode(t, "stop") for t in (0.0, 30.0, 70.0)]
-    assert merge_nodes(nodes, log.speed, 50.0) == nodes
+    assert _merge(nodes, log.speed, 50.0) == nodes
 
 
 def test_merge_co_timed_pair_keeps_the_stop():
     # a stopped vehicle reads pedal-idle too; the zero-speed node wins
     log = constant_speed_log(36.0, 10.0)
     nodes = [TrajectoryNode(2.0, "stop"), TrajectoryNode(2.0, "turn")]
-    merged = merge_nodes(nodes, log.speed, 1.0)
+    merged = _merge(nodes, log.speed, 1.0)
     assert len(merged) == 1
     assert merged[0].kind == "stop"
 
@@ -224,8 +248,8 @@ def test_merge_keeps_distance_equal_to_cutoff():
     # exactly min_edge apart must survive, not fall to float dust
     log = constant_speed_log(36.0, 40.0)
     nodes = [TrajectoryNode(0.0, "stop"), TrajectoryNode(10.0, "stop")]
-    assert len(merge_nodes(nodes, log.speed, 100.0)) == 2
-    assert len(merge_nodes(nodes, log.speed, 100.001)) == 1
+    assert len(_merge(nodes, log.speed, 100.0)) == 2
+    assert len(_merge(nodes, log.speed, 100.001)) == 1
 
 
 def test_merge_postcondition_random():
@@ -239,7 +263,7 @@ def test_merge_postcondition_random():
         node_times = np.sort(rng.choice(n - 1, size=k, replace=False)).astype(float)
         nodes = [TrajectoryNode(float(t), "stop") for t in node_times]
         min_edge = float(rng.uniform(10, 400))
-        merged = merge_nodes(nodes, series, min_edge)
+        merged = _merge(nodes, series, min_edge)
         for a, b in zip(merged, merged[1:]):
             d = _distance(series, a.event_time_s, b.event_time_s)
             assert d >= min_edge * (1 - 1e-9)
@@ -279,7 +303,7 @@ def test_merge_matches_pairwise_reference():
             a = int(rng.integers(len(ts) - 1))
             b = min(len(ts) - 1, a + int(rng.integers(1, 4)))
             min_edge = _distance(series, ts[a], ts[b]) or 1.0
-        assert merge_nodes(nodes, series, min_edge) == reference_merge_nodes(
+        assert _merge(nodes, series, min_edge) == reference_merge_nodes(
             nodes, series, min_edge
         )
 
@@ -301,7 +325,7 @@ def test_build_weights_equal_pairwise_distances_bit_for_bit():
 def test_merge_requires_positive_cutoff():
     log = constant_speed_log(36.0, 10.0)
     with pytest.raises(ValueError):
-        merge_nodes([], log.speed, 0.0)
+        merge_nodes([], [], log.speed, 0.0)
 
 
 # --- full pipeline
@@ -326,8 +350,9 @@ def _two_stop_log() -> CanLog:
 
 
 def test_build_trajectory_two_stops():
+    # the pedal idles at both stops too; each co-timed pair keeps its stop
     traj = build_trajectory(_two_stop_log(), min_edge_m=100.0)
-    assert traj.node_count == 2
+    assert [(n.event_time_s, n.kind) for n in traj.nodes] == [(2.0, "stop"), (85.0, "stop")]
     assert traj.edge_weights_m[0] == pytest.approx(800.0)
 
 
@@ -338,14 +363,42 @@ def test_build_trajectory_constant_cruise_has_no_nodes():
         build_trajectory(constant_speed_log(36.0, 100.0), min_edge_m=50.0)
 
 
+@pytest.mark.parametrize("min_edge_m", [50.0, 0.0])
+def test_build_trajectory_without_events_raises_too_few_nodes(min_edge_m):
+    # both branches skipped: no event reaches the merge's check of min_edge_m
+    times = np.arange(0.0, 100.0)
+    log = CanLog(speed=_speed(times, np.full(100, 36.0)), pedal=_pedal(times.copy(), times))
+    with pytest.warns(NoCandidates) as caught:
+        with pytest.raises(TooFewNodes, match=r"^0 node\(s\) after merging"):
+            build_trajectory(log, min_edge_m=min_edge_m)
+    assert [str(w.message) for w in caught] == [
+        "no stop candidates in series",
+        "only 1 turn candidate(s); branch skipped",
+    ]
+
+
+def _first_turn_log() -> CanLog:
+    # 1 Hz cruise at 10 m/s; the pedal idles alone at t=30, then with the
+    # vehicle at the stops t=81-83 and t=144-146
+    times = np.arange(180.0)
+    speeds, pedals = np.full(180, 36.0), np.full(180, 30.0)
+    pedals[30] = 14.0
+    for a in (81, 144):
+        speeds[a : a + 3] = 0.0
+        pedals[a : a + 3] = 14.0
+    return CanLog(speed=_speed(times, speeds), pedal=_pedal(times.copy(), pedals))
+
+
 def test_build_trajectory_include_first_event():
-    # without the flag the very first dwell never fires; with it, it does
-    base = build_trajectory(_two_stop_log(), min_edge_m=100.0)
-    with_first = build_trajectory(
-        _two_stop_log(), min_edge_m=100.0, include_first_event=True
-    )
-    assert with_first.node_count >= base.node_count
-    assert with_first.nodes[0].event_time_s <= base.nodes[0].event_time_s
+    # the idle pedal at t=30 is the turn branch's first candidate, which
+    # the gap walk alone never fires on; the flag adds it
+    base = build_trajectory(_first_turn_log(), min_edge_m=100.0)
+    with_first = build_trajectory(_first_turn_log(), min_edge_m=100.0, include_first_event=True)
+    assert [(n.event_time_s, n.kind) for n in base.nodes] == [(83.0, "stop"), (146.0, "stop")]
+    assert [(n.event_time_s, n.kind) for n in with_first.nodes] == [
+        (30.0, "turn"), (83.0, "stop"), (146.0, "stop")
+    ]
+    assert with_first.edge_weights_m.tolist() == [510.0, 600.0]
 
 
 def test_build_trajectory_simulator_route():
@@ -364,7 +417,7 @@ def test_build_trajectory_simulator_route():
 def test_both_branches_derive_a_threshold():
     log = _two_stop_log()
     for series in (log.speed, log.pedal):
-        delta = compute_threshold(gap_series(candidate_points(series)))
+        delta = compute_threshold(np.diff(candidate_points(series)))
         assert 0.0 < delta < 80.0
 
 
