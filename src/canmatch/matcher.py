@@ -270,9 +270,10 @@ def brute_force_match(
 ) -> list[CandidatePath]:
     """Reference matcher: enumerate every path, then filter.
 
-    Recursively lists all paths with the right node count using adjacency
-    only, applies the tolerance test afterwards, and dedups orientations.
-    Exists to check match_paths against; refuses graphs over node_limit.
+    Recursively walks the graph's CSR neighbour lists to list all paths
+    with the right node count, carrying each edge's length along, applies
+    the tolerance test afterwards, and dedups orientations. Exists to check
+    match_paths against; refuses graphs over node_limit.
     """
     if len(g.ids) > node_limit:
         raise OracleTooLarge(f"{len(g.ids)} nodes exceeds limit {node_limit}")
@@ -280,39 +281,40 @@ def brute_force_match(
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     q = wr.size + 1
-    adj = g.adjacency()
-    length_of = {}
-    for e in g.edges:
-        length_of[(e.u, e.v)] = e.length_m
-        length_of[(e.v, e.u)] = e.length_m
+    ids = g.ids
+    indptr, nbrs, lens = g.indptr.tolist(), g.nbrs.tolist(), g.lens.tolist()
 
-    complete: list[tuple[str, ...]] = []
-    path: list[str] = []
+    complete: list[tuple[tuple[int, ...], tuple[float, ...]]] = []
+    path: list[int] = []
+    walked: list[float] = []
 
-    def walk(u: str) -> None:
+    def walk(u: int) -> None:
         path.append(u)
         if len(path) == q:
-            complete.append(tuple(path))
+            complete.append((tuple(path), tuple(walked)))
         else:
-            for v, _w in adj[u]:
+            for slot in range(indptr[u], indptr[u + 1]):
+                v = nbrs[slot]
                 if allow_node_reuse or v not in path:
+                    walked.append(lens[slot])
                     walk(v)
+                    walked.pop()
         path.pop()
 
-    for start in g.ids:
+    for start in range(len(ids)):
         walk(start)
 
     # one candidate per undirected path: lower theta, then smaller node ids
     best: dict[tuple[str, ...], CandidatePath] = {}
     weights = wr.tolist()
-    for p in complete:
-        lens = [length_of[(a, b)] for a, b in zip(p, p[1:])]
-        if not all(abs(l - w) <= sigma * l for l, w in zip(lens, weights)):
+    for at, lengths in complete:
+        if not all(abs(l - w) <= sigma * l for l, w in zip(lengths, weights)):
             continue
-        residuals = np.abs(np.array(lens) - wr)
+        p = tuple(ids[i] for i in at)
+        residuals = np.abs(np.array(lengths) - wr)
         c = CandidatePath(
             node_ids=p,
-            edge_lengths_m=tuple(map(float, lens)),
+            edge_lengths_m=lengths,
             residuals_m=tuple(float(x) for x in residuals),
             theta_m=float(residuals.sum() / wr.size),
             sigma_used=float(sigma),

@@ -55,15 +55,13 @@ class RoadEdge:
     v: str
     length_m: float
 
-    def key(self) -> tuple[str, str]:
-        """Unordered endpoint pair in canonical order."""
-        return (self.u, self.v) if self.u <= self.v else (self.v, self.u)
-
 
 class RoadGraph:
     """Immutable undirected graph with haversine edge lengths, held as arrays.
 
-    Nodes are indexed in sorted-id order: ``ids``, ``lat`` and ``lon``.
+    ``RoadGraph(ids, lat, lon, us, vs, ws)`` takes columns: one id and
+    coordinate per node, and the two endpoint ids and the length of each
+    edge. Nodes are indexed in sorted-id order: ``ids``, ``lat`` and ``lon``.
     Edges are CSR neighbour lists, which the matcher searches: node i's
     neighbours are ``nbrs[indptr[i]:indptr[i+1]]`` in ascending index order,
     with lengths ``lens`` and slot keys ``keys = i*n + nbr``, which ascend,
@@ -80,24 +78,7 @@ class RoadGraph:
     node DanglingNodeRef.
     """
 
-    def __init__(self, nodes: list[RoadNode], edges: list[RoadEdge]):
-        self._build(
-            [n.id for n in nodes],
-            [n.lat for n in nodes],
-            [n.lon for n in nodes],
-            [e.u for e in edges],
-            [e.v for e in edges],
-            [e.length_m for e in edges],
-        )
-
-    @classmethod
-    def _from_columns(cls, ids, lat, lon, us, vs, ws) -> "RoadGraph":
-        """Build from node columns and edge columns (endpoint ids, lengths)."""
-        g = cls.__new__(cls)
-        g._build(ids, lat, lon, us, vs, ws)
-        return g
-
-    def _build(self, ids, lat, lon, us, vs, ws) -> None:
+    def __init__(self, ids, lat, lon, us, vs, ws):
         lat = np.asarray(lat, dtype=np.float64)
         lon = np.asarray(lon, dtype=np.float64)
         finite = np.isfinite(lat) & np.isfinite(lon)
@@ -197,17 +178,6 @@ class RoadGraph:
         v = np.where(rev, lo, hi).tolist()
         return u, v, self.lens[canon].tolist()
 
-    def adjacency(self) -> dict[str, list[tuple[str, float]]]:
-        """Neighbor lists (neighbor id, edge length), sorted by neighbor id."""
-        ids = self.ids
-        ptr = self.indptr.tolist()
-        nbrs = self.nbrs.tolist()
-        lens = self.lens.tolist()
-        return {
-            nid: [(ids[j], w) for j, w in zip(nbrs[ptr[i] : ptr[i + 1]], lens[ptr[i] : ptr[i + 1]])]
-            for i, nid in enumerate(ids)
-        }
-
     def __eq__(self, other):
         if not isinstance(other, RoadGraph):
             return NotImplemented
@@ -242,15 +212,18 @@ def parse_osm_xml(xml_text) -> RoadGraph:
         xml_text: str or bytes of an OSM XML document.
 
     Raises:
-        XmlMalformed: input is not well-formed XML, an element lacks an
-            attribute read here, or a coordinate is not a number.
+        XmlMalformed: input is not UTF-8 or not well-formed XML, an element
+            lacks an attribute read here, or a coordinate is not a number.
         NoDrivableWays: nothing drivable in the input.
         DanglingNodeRef: a way references an undefined node.
+        EmptyResult: no drivable segment has a positive length.
     """
-    if isinstance(xml_text, bytes):
-        xml_text = xml_text.decode("utf-8")
     try:
+        if isinstance(xml_text, bytes):
+            xml_text = xml_text.decode("utf-8")
         root = ET.fromstring(xml_text)
+    except UnicodeDecodeError as exc:
+        raise XmlMalformed(f"OSM XML is not UTF-8 text: {exc}") from None
     except ET.ParseError as exc:
         raise XmlMalformed(f"cannot parse OSM XML: {exc}") from None
 
@@ -287,8 +260,8 @@ def parse_osm_xml(xml_text) -> RoadGraph:
         keep.add(refs[-1])
     keep.update(ref for ref, n in usage.items() if n > 1)
 
-    nodes = [RoadNode(rid, *coords[rid]) for rid in sorted(keep)]
-    edges: list[RoadEdge] = []
+    ids = sorted(keep)
+    edges = []
     for refs in ways:
         start = 0
         for i in range(1, len(refs)):
@@ -296,9 +269,13 @@ def parse_osm_xml(xml_text) -> RoadGraph:
                 chain = refs[start : i + 1]
                 length = _polyline_length_m([coords[r] for r in chain])
                 if length > 0:
-                    edges.append(RoadEdge(chain[0], chain[-1], length))
+                    edges.append((chain[0], chain[-1], length))
                 start = i
-    return RoadGraph(nodes, edges)
+    lat, lon = _columns([coords[rid] for rid in ids], 2)
+    g = RoadGraph(ids, lat, lon, *_columns(edges, 3))
+    if not g.edge_count:
+        raise EmptyResult("no drivable segment of positive length in input")
+    return g
 
 
 def read_osm_xml(path) -> RoadGraph:
@@ -323,7 +300,7 @@ def graph_from_dict(doc: dict) -> RoadGraph:
         raise SchemaMismatch(f"graph document missing field: {exc}") from None
     except ValueError as exc:
         raise SchemaMismatch(f"graph document has a non-numeric field: {exc}") from None
-    return RoadGraph._from_columns(*_columns(nodes, 3), *_columns(edges, 3))
+    return RoadGraph(*_columns(nodes, 3), *_columns(edges, 3))
 
 
 def _columns(rows: list[tuple], width: int) -> tuple:
@@ -404,7 +381,8 @@ def load_graph(path) -> RoadGraph:
 def bbox_filter(g: RoadGraph, center_lat: float, center_lon: float, side_km: float) -> RoadGraph:
     """Restrict a graph to a square window of side_km centered on a point.
 
-    Nodes outside the square are removed along with their edges.
+    Nodes outside the square are removed along with their edges; the
+    edges left keep the orientation g gave them.
 
     Raises:
         EmptyResult: no edges survive the cut.
@@ -414,14 +392,10 @@ def bbox_filter(g: RoadGraph, center_lat: float, center_lon: float, side_km: flo
     half_m = side_km * 1000.0 / 2.0
     dlat = half_m / M_PER_DEG_LAT
     dlon = half_m / (M_PER_DEG_LAT * np.cos(np.radians(center_lat)))
-    nodes = g.nodes
-    inside = {
-        n.id
-        for n in nodes.values()
-        if abs(n.lat - center_lat) <= dlat and abs(n.lon - center_lon) <= dlon
-    }
-    kept = [nodes[nid] for nid in sorted(inside)]
-    edges = [e for e in g.edges if e.u in inside and e.v in inside]
-    if not kept or not edges:
+    inside = (np.abs(g.lat - center_lat) <= dlat) & (np.abs(g.lon - center_lon) <= dlon)
+    ids = g.ids
+    edges = [(ids[a], ids[b], w) for a, b, w in zip(*g._edge_columns()) if inside[a] and inside[b]]
+    if not edges:
         raise EmptyResult(f"no road network within {side_km} km window")
-    return RoadGraph(kept, edges)
+    kept = np.flatnonzero(inside)
+    return RoadGraph([ids[i] for i in kept], g.lat[kept], g.lon[kept], *_columns(edges, 3))

@@ -109,9 +109,7 @@ def make_synthetic_grid(
     vs = np.concatenate((k[:, 1:].ravel(), k[1:, :].ravel())).tolist()
     # scalar calls: an array call can differ in the last bit, which changes map bytes
     lengths = [float(haversine_m(lat[a], lon[a], lat[b], lon[b])) for a, b in zip(us, vs)]
-    return RoadGraph._from_columns(
-        ids, lat, lon, [ids[a] for a in us], [ids[b] for b in vs], lengths
-    )
+    return RoadGraph(ids, lat, lon, [ids[a] for a in us], [ids[b] for b in vs], lengths)
 
 
 # nodes one sample_route call may expand, over all its restarts

@@ -18,6 +18,7 @@ from canmatch.errors import (
     DanglingNodeRef,
     DuplicateTimestamp,
     EmptyLog,
+    EmptyResult,
     MalformedRow,
     NonMonotonicTime,
     SchemaMismatch,
@@ -42,6 +43,18 @@ def equator_node(node_id: str, x_m: float, lat: float = 0.0) -> RoadNode:
     return RoadNode(id=node_id, lat=lat, lon=x_m * M_TO_DEG_LON)
 
 
+def graph_of(nodes: list[RoadNode], edges: list[RoadEdge]) -> RoadGraph:
+    """RoadGraph of node and edge objects, passed to it as columns."""
+    return RoadGraph(
+        [n.id for n in nodes],
+        [n.lat for n in nodes],
+        [n.lon for n in nodes],
+        [e.u for e in edges],
+        [e.v for e in edges],
+        [e.length_m for e in edges],
+    )
+
+
 def osm_xml(nodes: dict[str, tuple[float, float]], ways: list[tuple[list[str], str]]) -> str:
     """Minimal OSM XML document with the given nodes and tagged ways."""
     parts = ["<osm>"]
@@ -64,14 +77,14 @@ def line_graph(weights: list[float], prefix: str = "n") -> tuple[RoadGraph, list
     edges = [
         RoadEdge(a, b, float(w)) for a, b, w in zip(ids, ids[1:], weights)
     ]
-    return RoadGraph(nodes, edges), ids
+    return graph_of(nodes, edges), ids
 
 
 def triangle_graph(a: float = 100.0, b: float = 103.0, c: float = 200.0) -> RoadGraph:
     """Three nodes, edge lengths a (x-y), b (y-z), c (x-z)."""
     nodes = [equator_node("x", 0.0), equator_node("y", a), equator_node("z", a + b)]
     edges = [RoadEdge("x", "y", a), RoadEdge("y", "z", b), RoadEdge("x", "z", c)]
-    return RoadGraph(nodes, edges)
+    return graph_of(nodes, edges)
 
 
 def traj_of(weights: list[float]) -> TrajectoryGraph:
@@ -124,23 +137,21 @@ def random_graph(rng: np.random.Generator, n_hint: int) -> RoadGraph:
         kept.append(
             RoadEdge(ids[int(u)], ids[int(v)], float(rng.uniform(0.5, 1.5) * spacing))
         )
-    return RoadGraph(list(g.nodes.values()), kept)
+    return graph_of(list(g.nodes.values()), kept)
 
 
 def some_path(g: RoadGraph, n_nodes: int, rng: np.random.Generator) -> list[str] | None:
     """A random simple path with n_nodes nodes, or None if unlucky."""
-    adj = g.adjacency()
-    ids = sorted(g.nodes)
+    ptr, nbrs = g.indptr.tolist(), g.nbrs.tolist()
     for _ in range(60):
-        cur = ids[int(rng.integers(len(ids)))]
-        path = [cur]
+        path = [int(rng.integers(len(g.ids)))]
         while len(path) < n_nodes:
-            nxt = [v for v, _ in adj[path[-1]] if v not in path]
+            nxt = [v for v in nbrs[ptr[path[-1]] : ptr[path[-1] + 1]] if v not in path]
             if not nxt:
                 break
             path.append(nxt[int(rng.integers(len(nxt)))])
         if len(path) == n_nodes:
-            return path
+            return [g.ids[i] for i in path]
     return None
 
 
@@ -292,7 +303,7 @@ def reference_synthetic_grid(
         for b in (nodes.get((r, c + 1)), nodes.get((r + 1, c))):
             if b is not None:
                 edges.append(RoadEdge(a.id, b.id, float(haversine_m(a.lat, a.lon, b.lat, b.lon))))
-    return RoadGraph(list(nodes.values()), edges)
+    return graph_of(list(nodes.values()), edges)
 
 
 def reference_synthesize_can(gt, g: RoadGraph, p) -> CanLog:
@@ -401,7 +412,7 @@ def reference_road_graph(
             raise DanglingNodeRef(f"edge {e.u}-{e.v} references an unknown node")
         if not 0 < e.length_m < math.inf:
             raise SchemaMismatch(f"edge {e.u}-{e.v} has length {e.length_m}")
-        k = e.key()
+        k = (e.u, e.v) if e.u <= e.v else (e.v, e.u)
         if k not in best or e.length_m < best[k].length_m:
             best[k] = e
     return by_id, [best[k] for k in sorted(best)]
@@ -440,3 +451,25 @@ def reference_graph_csr(by_id: dict, edges: list[RoadEdge]):
     keys = keys[order]
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
     return indptr, np.concatenate((v, u))[order], np.concatenate((w, w))[order], keys
+
+
+def reference_bbox_filter(g: RoadGraph, center_lat: float, center_lon: float, side_km: float):
+    """bbox_filter's square cut on node and edge objects.
+
+    The nodes within half a side of the centre in both latitude and
+    longitude are kept in id order, with the edges of g.edges whose two
+    ends are both kept, as given; EmptyResult when no edge is left.
+    """
+    half_m = side_km * 1000.0 / 2.0
+    dlat = half_m / M_PER_DEG_LAT
+    dlon = half_m / (M_PER_DEG_LAT * np.cos(np.radians(center_lat)))
+    nodes = g.nodes
+    inside = {
+        n.id
+        for n in nodes.values()
+        if abs(n.lat - center_lat) <= dlat and abs(n.lon - center_lon) <= dlon
+    }
+    edges = [e for e in g.edges if e.u in inside and e.v in inside]
+    if not edges:
+        raise EmptyResult(f"no road network within {side_km} km window")
+    return graph_of([nodes[nid] for nid in sorted(inside)], edges)

@@ -24,7 +24,6 @@ from canmatch.matcher import (
     run_attack,
 )
 from canmatch.metrics import GroundTruth, evaluate
-from canmatch.roadnet import RoadGraph
 from canmatch.simulate import (
     DriveProfile,
     make_synthetic_grid,
@@ -32,7 +31,7 @@ from canmatch.simulate import (
     synthesize_can,
 )
 from canmatch.trajgraph import build_trajectory, compute_threshold, positions_m
-from helpers import equator_node, path_weights, random_graph, some_path, traj_of
+from helpers import equator_node, graph_of, path_weights, random_graph, some_path, traj_of
 
 
 # --- 1: the pruned search returns exactly what exhaustive enumeration does
@@ -167,7 +166,7 @@ class _Result:
 def test_metric_identities_on_random_ranked_results():
     rng = np.random.default_rng(83)
     pool = [f"v{i}" for i in range(30)]
-    g = RoadGraph([equator_node(v, 100.0 * i) for i, v in enumerate(pool)], [])
+    g = graph_of([equator_node(v, 100.0 * i) for i, v in enumerate(pool)], [])
     for _ in range(100):
         q = int(rng.integers(2, 9))
         gt = GroundTruth(node_ids=tuple(rng.choice(pool, size=q, replace=False)))

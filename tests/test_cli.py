@@ -75,6 +75,16 @@ def test_ingest_osm_footway_only_fails(tmp_path):
     assert rc == 2
 
 
+def test_ingest_osm_with_only_zero_length_segments_exits_empty(tmp_path, capsys):
+    src = tmp_path / "zero.osm"
+    src.write_text(osm_xml({"a": (0.0, 0.0), "b": (0.0, 0.0)}, [(["a", "b"], "primary")]))
+    out = tmp_path / "g.json"
+    rc = main(["ingest-osm", "--in", str(src), "--out", str(out)])
+    assert rc == 3
+    assert "kind=EmptyResult" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "old, new, message",
     [

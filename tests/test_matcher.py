@@ -26,6 +26,7 @@ from canmatch.roadnet import RoadEdge, RoadGraph, RoadNode
 from canmatch.simulate import make_synthetic_grid
 from helpers import (
     equator_node,
+    graph_of,
     line_graph,
     path_weights,
     random_graph,
@@ -89,7 +90,7 @@ def test_trajectory_longer_than_any_simple_path():
 
 
 def test_empty_graph_matches_nothing():
-    g = RoadGraph([], [])
+    g = graph_of([], [])
     assert match_paths(g, traj_of([100.0]), 0.05) == []
     assert brute_force_match(g, traj_of([100.0]), 0.05) == []
 
@@ -143,7 +144,7 @@ def test_node_reuse_flag_admits_loops():
         RoadEdge("p2", "p3", 120.0),
         RoadEdge("p3", "p1", 130.0),
     ]
-    g = RoadGraph(nodes, edges)
+    g = graph_of(nodes, edges)
     wr = [100.0, 110.0, 120.0, 130.0]
     assert match_paths(g, traj_of(wr), 0.01) == []
     looped = match_paths(g, traj_of(wr), 0.01, allow_node_reuse=True)
@@ -357,7 +358,7 @@ def _tied_graph(rng: np.random.Generator) -> RoadGraph:
     edges = [
         RoadEdge(e.u, e.v, float(rng.choice([100.0, 110.0, 120.0]))) for e in g.edges
     ]
-    return RoadGraph(list(g.nodes.values()), edges)
+    return graph_of(list(g.nodes.values()), edges)
 
 
 def test_run_attack_ranks_like_top_k_over_the_full_list():

@@ -11,7 +11,7 @@ from canmatch.geo import haversine_m
 from canmatch.matcher import CandidatePath
 from canmatch.metrics import EvalReport, GroundTruth, evaluate, success_rate
 from canmatch.roadnet import RoadGraph
-from helpers import equator_node, line_graph
+from helpers import equator_node, graph_of, line_graph
 
 
 class _Result:
@@ -68,7 +68,7 @@ def test_success_rate_empty_result_is_zero():
 
 def _letters_graph() -> RoadGraph:
     # one node for each id below; precision and FNR do not depend on where they lie
-    return RoadGraph([equator_node(n, 100.0 * i) for i, n in enumerate("abcdexyzw")], [])
+    return graph_of([equator_node(n, 100.0 * i) for i, n in enumerate("abcdexyzw")], [])
 
 
 def _report(id_lists, gt: GroundTruth) -> EvalReport:
@@ -127,7 +127,7 @@ def _offset_graph() -> RoadGraph:
         equator_node("c0", 1000.0),
         equator_node("c1", 6000.0),
     ]
-    return RoadGraph(nodes, [])
+    return graph_of(nodes, [])
 
 
 def test_offset_zero_for_identical_candidate():
@@ -191,7 +191,7 @@ def test_evaluate_pairs_each_candidate_once_and_matches_metrics_recomputed_pair_
     rng = np.random.default_rng(61)
     xs = rng.uniform(0.0, 5000.0, size=30)
     nodes = [equator_node(f"v{i}", float(x)) for i, x in enumerate(xs)]
-    g = RoadGraph(nodes, [])
+    g = graph_of(nodes, [])
     at = {n.id: (n.lat, n.lon) for n in nodes}
     pool = sorted(g.nodes)
     for _ in range(50):
@@ -233,7 +233,7 @@ def test_evaluate_pairs_each_candidate_once_and_matches_metrics_recomputed_pair_
 def test_precision_and_fnr_sum_to_one_exactly():
     rng = np.random.default_rng(59)
     pool = [f"v{i}" for i in range(30)]
-    g = RoadGraph([equator_node(v, 100.0 * i) for i, v in enumerate(pool)], [])
+    g = graph_of([equator_node(v, 100.0 * i) for i, v in enumerate(pool)], [])
     for _ in range(200):
         q = int(rng.integers(2, 9))
         gt = GroundTruth(node_ids=tuple(rng.choice(pool, size=q, replace=False)))
@@ -267,7 +267,7 @@ def test_success_rate_never_decreases_with_k():
 def test_success_rate_equals_precision_at_k1():
     rng = np.random.default_rng(67)
     pool = [f"v{i}" for i in range(15)]
-    g = RoadGraph([equator_node(v, 100.0 * i) for i, v in enumerate(pool)], [])
+    g = graph_of([equator_node(v, 100.0 * i) for i, v in enumerate(pool)], [])
     for _ in range(50):
         q = int(rng.integers(2, 7))
         gt = GroundTruth(node_ids=tuple(rng.choice(pool, size=q, replace=False)))
@@ -286,7 +286,7 @@ def test_metrics_survive_consistent_relabeling():
     renamed_nodes = [
         type(n)(id=relabel[n.id], lat=n.lat, lon=n.lon) for n in g.nodes.values()
     ]
-    g2 = RoadGraph(renamed_nodes, [])
+    g2 = graph_of(renamed_nodes, [])
     gt2 = _gt(*(relabel[n] for n in gt.node_ids))
     res2 = _Result([tuple(relabel[n] for n in ids) for ids in [("t0", "c1")]])
     after = evaluate(res2, gt2, g2)

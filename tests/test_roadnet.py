@@ -37,6 +37,8 @@ from canmatch.simulate import make_synthetic_grid
 from helpers import (
     M_TO_DEG_LON,
     equator_node,
+    graph_of,
+    reference_bbox_filter,
     reference_graph_csr,
     reference_graph_json,
     reference_road_graph,
@@ -86,6 +88,20 @@ def test_dangling_node_ref():
 def test_malformed_xml():
     with pytest.raises(XmlMalformed):
         parse_osm_xml("<osm><node id=")
+    with pytest.raises(XmlMalformed, match="is not UTF-8 text"):
+        parse_osm_xml(b"<osm>\xff</osm>")
+
+
+@pytest.mark.parametrize(
+    "refs",
+    [["a", "b"], ["a", "c", "d", "a"]],
+    ids=["two nodes at one point", "ring of one kept node"],
+)
+def test_no_edge_of_positive_length_is_empty_result(refs):
+    # a zero-length segment is skipped, and a ring's only edge is a self loop
+    nodes = {"a": (0.0, 0.0), "b": (0.0, 0.0), "c": (0.0, _lon(100)), "d": (0.001, 0.0)}
+    with pytest.raises(EmptyResult, match="no drivable segment of positive length"):
+        parse_osm_xml(_osm(nodes, [(refs, "primary")]))
 
 
 def test_edge_lengths_match_polyline_haversine():
@@ -103,7 +119,7 @@ def test_edge_lengths_match_polyline_haversine():
 
 def test_parallel_edges_keep_shortest_and_self_loops_drop():
     nodes = [equator_node("a", 0.0), equator_node("b", 100.0)]
-    g = RoadGraph(
+    g = graph_of(
         nodes,
         [RoadEdge("a", "b", 150.0), RoadEdge("b", "a", 100.0), RoadEdge("a", "a", 5.0)],
     )
@@ -113,7 +129,7 @@ def test_parallel_edges_keep_shortest_and_self_loops_drop():
 
 def test_edge_to_unknown_node_rejected():
     with pytest.raises(DanglingNodeRef):
-        RoadGraph([equator_node("a", 0.0)], [RoadEdge("a", "zzz", 10.0)])
+        graph_of([equator_node("a", 0.0)], [RoadEdge("a", "zzz", 10.0)])
 
 
 def test_min_edge_length():
@@ -123,7 +139,7 @@ def test_min_edge_length():
 
 
 def test_min_edge_of_edgeless_graph():
-    g = RoadGraph([equator_node("a", 0.0)], [])
+    g = graph_of([equator_node("a", 0.0)], [])
     with pytest.raises(EmptyResult):
         _ = g.min_edge_length_m
 
@@ -136,7 +152,7 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_round_trip_edgeless_graph(tmp_path):
-    g = RoadGraph([equator_node("only", 0.0)], [])
+    g = graph_of([equator_node("only", 0.0)], [])
     p = tmp_path / "g.json"
     save_graph(g, p)
     assert load_graph(p) == g
@@ -280,8 +296,8 @@ def test_dict_round_trip_structural_equality(tmp_path):
 def test_graphs_differing_in_one_field_are_unequal():
     nodes = [equator_node("a", 0.0), equator_node("b", 100.0), equator_node("c", 250.0)]
     edges = [RoadEdge("a", "b", 100.0), RoadEdge("b", "c", 100.0)]
-    g = RoadGraph(nodes, edges)
-    assert RoadGraph(nodes, list(edges)) == g
+    g = graph_of(nodes, edges)
+    assert graph_of(nodes, list(edges)) == g
     variants = [
         (nodes, [edges[0], RoadEdge("b", "c", 101.0)]),
         (nodes, [edges[0], RoadEdge("c", "b", 100.0)]),
@@ -291,7 +307,7 @@ def test_graphs_differing_in_one_field_are_unequal():
         ([*nodes[:2], equator_node("d", 250.0)], [edges[0], RoadEdge("b", "d", 100.0)]),
     ]
     for vnodes, vedges in variants:
-        assert RoadGraph(vnodes, vedges) != g
+        assert graph_of(vnodes, vedges) != g
 
 
 def test_bbox_superset_keeps_graph():
@@ -332,6 +348,34 @@ def test_bbox_idempotent():
     assert bbox_filter(once, lat0, lon0, 0.4) == once
 
 
+def test_bbox_equals_object_based_cut_on_partly_reversed_grids(tmp_path):
+    rng = np.random.default_rng(29)
+    got_path, want_path = tmp_path / "got.json", tmp_path / "want.json"
+    empty = partial = 0
+    for trial in range(40):
+        grid = make_synthetic_grid(int(rng.integers(2, 9)), 150.0, 0.3, seed=trial)
+        flip = rng.random(grid.edge_count) < 0.5
+        edges = [RoadEdge(e.v, e.u, e.length_m) if f else e for e, f in zip(grid.edges, flip)]
+        g = graph_of(list(grid.nodes.values()), edges)
+        for _ in range(5):
+            lat = float(rng.uniform(g.lat.min(), g.lat.max()))
+            lon = float(rng.uniform(g.lon.min(), g.lon.max()))
+            side_km = float(rng.uniform(0.05, 1.5))
+            want = _error(reference_bbox_filter, g, lat, lon, side_km)
+            assert _error(bbox_filter, g, lat, lon, side_km) == want
+            if want is not None:
+                empty += 1
+                continue
+            got = bbox_filter(g, lat, lon, side_km)
+            ref = reference_bbox_filter(g, lat, lon, side_km)
+            assert got == ref  # == compares edge_reversed too
+            save_graph(got, got_path)
+            save_graph(ref, want_path)
+            assert got_path.read_text() == want_path.read_text()
+            partial += got.edge_count < g.edge_count and got.edge_reversed.any()
+    assert empty >= 15 and partial >= 80
+
+
 # --- columnar graph against the dict-based constructor
 
 
@@ -357,14 +401,6 @@ def _random_parts(rng: np.random.Generator, int_ids: bool = False, edgeless: boo
         if rng.random() < 0.3:
             edges.append(RoadEdge(b, a, float(rng.choice([w, 60.0]))))
     return nodes, edges
-
-
-def _reference_adjacency(by_id: dict, edges: list[RoadEdge]) -> dict:
-    adj: dict = {nid: [] for nid in by_id}
-    for e in edges:
-        adj[e.u].append((e.v, e.length_m))
-        adj[e.v].append((e.u, e.length_m))
-    return {nid: sorted(lst) for nid, lst in adj.items()}
 
 
 def _error(fn, *args):
@@ -401,7 +437,6 @@ def _doc(nodes, edges) -> dict:
 def _assert_same_graph(g: RoadGraph, by_id: dict, edges: list[RoadEdge], tmp_path) -> None:
     assert g.nodes == by_id
     assert g.edges == edges  # RoadEdge equality includes the orientation
-    assert g.adjacency() == _reference_adjacency(by_id, edges)
     if edges:
         assert g.min_edge_length_m == min(e.length_m for e in edges)
     else:
@@ -419,7 +454,7 @@ def test_columnar_graph_equals_dict_based_constructor(tmp_path):
     for trial in range(120):
         nodes, edges = _random_parts(rng, int_ids=trial % 3 == 1, edgeless=trial % 10 == 0)
         by_id, ref_edges = reference_road_graph(nodes, edges)
-        _assert_same_graph(RoadGraph(nodes, edges), by_id, ref_edges, tmp_path)
+        _assert_same_graph(graph_of(nodes, edges), by_id, ref_edges, tmp_path)
         # integer ids in a document become strings, which sort as text
         doc = _doc(nodes, edges)
         by_id, ref_edges = _reference_from_dict(doc)
@@ -432,7 +467,7 @@ def test_saved_text_equals_json_dump_for_awkward_ids_and_floats(tmp_path):
     nodes = [RoadNode(nid, la, lo) for nid, la, lo in zip(ids, coords, coords[::-1])]
     edges = [RoadEdge(a, b, w) for a, b, w in zip(ids, ids[1:], [1e-300, 0.1, 2.5e10, 7.0] * 2)]
     int_ids = [RoadNode(i, n.lat, n.lon) for i, n in enumerate(nodes)]
-    for g in (RoadGraph(nodes, edges), RoadGraph(int_ids, []), RoadGraph([], [])):
+    for g in (graph_of(nodes, edges), graph_of(int_ids, []), graph_of([], [])):
         path = tmp_path / "g.json"
         save_graph(g, path)
         assert path.read_text(encoding="utf-8") == reference_graph_json(g.nodes, g.edges)
@@ -472,10 +507,10 @@ def test_columnar_graph_rejects_bad_input_like_dict_based_constructor(fault):
             _inject(rng, nodes, edges, kind)
         doc = _doc(nodes, edges)
         want = _error(reference_road_graph, nodes, edges)
-        assert _error(RoadGraph, nodes, edges) == want
+        assert _error(graph_of, nodes, edges) == want
         assert _error(graph_from_dict, doc) == _error(_reference_from_dict, doc)
         if want is None:
-            g = RoadGraph(nodes, edges)
+            g = graph_of(nodes, edges)
             assert (g.nodes, g.edges) == reference_road_graph(nodes, edges)
         raised += want is not None
     assert raised >= 20

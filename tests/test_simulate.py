@@ -122,12 +122,11 @@ def test_route_on_single_edge_graph():
 
 def test_route_nodes_are_adjacent():
     g = make_synthetic_grid(10, 300.0, 0.1, seed=5)
-    adj = g.adjacency()
     for seed in range(10):
         gt = sample_route(g, 5, seed=seed)
         assert len(gt.node_ids) == 5
         for a, b in zip(gt.node_ids, gt.node_ids[1:]):
-            assert any(v == b for v, _ in adj[a])
+            assert g.edge_slot(a, b) >= 0
 
 
 def test_route_longer_than_graph_raises():
