@@ -4,17 +4,23 @@ The wire format is a three-column CSV ``time_s,signal,value`` where signal
 is ``speed`` (km/h) or ``pedal`` (throttle position, percent). Rows may be
 interleaved arbitrarily; parsing sorts each signal by timestamp with a
 stable sort so equal-time rows keep file order.
+
+numpy's C text reader parses an ASCII log whose header is exact and whose
+rows all pass their checks, as the simulator writes them. Every other log
+(padded signal names, underscore or non-ASCII digits, lone-CR line ends,
+and every faulty log) is scanned line by line, which gives the same rows
+or names the first faulty line.
 """
 
 from __future__ import annotations
 
 import functools
 import gzip
+import io
 import math
 import warnings
+import zlib
 from dataclasses import dataclass
-from itertools import repeat
-from typing import NoReturn
 
 import numpy as np
 
@@ -28,6 +34,9 @@ from .errors import (
 
 HEADER = "time_s,signal,value"
 SIGNALS = ("speed", "pedal")
+# splitlines() ends a line at these, where numpy's reader strips them as
+# padding; a NUL ends a numpy string, so "speed\0" would read as "speed"
+_C_READER_REFUSES = "\0\v\f\x1c\x1d\x1e"
 
 
 @dataclass(frozen=True)
@@ -100,24 +109,53 @@ def _build_series(cls, times: np.ndarray, values: np.ndarray, name: str):
     return cls(times=times, values=values)
 
 
-def _floats(fields: list[str]) -> np.ndarray:
-    """float() of every field, accepting whatever float(field.strip()) does.
+def _read_columns(text: str):
+    """Times, values and speed flags of every row, read by numpy's C reader.
 
-    float() ignores the same padding as str.strip() except U+001F, so a
-    column that float() refuses is stripped and converted once more.
+    Returns None for a log the reader may read differently from the line
+    scan, or when any row fails a check; the line scan then decides.
     """
+    if (
+        not text.isascii()
+        or not text.startswith((HEADER + "\n", HEADER + "\r\n"))
+        or text[len(HEADER) :].isspace()  # loadtxt warns on a blank body
+        or any(c in text for c in _C_READER_REFUSES)
+    ):
+        return None
     try:
-        return np.fromiter(map(float, fields), np.float64, len(fields))
+        rows = np.loadtxt(
+            io.StringIO(text),
+            dtype=[("t", "f8"), ("s", "U6"), ("v", "f8")],
+            delimiter=",",
+            comments=None,
+            skiprows=1,
+            ndmin=1,
+        )
     except ValueError:
-        return np.fromiter(map(float, map(str.strip, fields)), np.float64, len(fields))
+        return None
+    times, signals, values = rows["t"], rows["s"], rows["v"]
+    is_speed = signals == "speed"
+    if not (
+        (is_speed | (signals == "pedal")).all()
+        and np.isfinite(times).all()
+        and np.isfinite(values).all()
+        and (times >= 0.0).all()
+        and (values >= 0.0).all()
+    ):
+        return None
+    return times, values, is_speed
 
 
-def _raise_first_fault(lines: list[str]) -> NoReturn:
-    """Raise the error for the first faulty data line of a rejected log.
+def _scan_lines(text: str):
+    """Times, values and speed flags of every row, parsed line by line.
 
-    Runs only after bulk validation failed, so it builds no series; it
-    applies the same checks as the bulk path, line by line in file order.
+    Each non-blank line is split, stripped, converted and checked in file
+    order, so the first faulty line raises.
     """
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != HEADER:
+        raise MalformedRow(f"first line must be the header {HEADER!r}")
+    times, values, is_speed = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -138,15 +176,19 @@ def _raise_first_fault(lines: list[str]) -> NoReturn:
             raise NonMonotonicTime(f"line {lineno}: negative timestamp {t}")
         if v < 0.0:
             raise MalformedRow(f"line {lineno}: negative {signal} value {v}")
-    raise AssertionError("bulk validation rejected a log with no faulty line")
+        times.append(t)
+        values.append(v)
+        is_speed.append(signal == "speed")
+    if not times:
+        raise EmptyLog("log has a header but no data rows")
+    return np.array(times), np.array(values), np.array(is_speed)
 
 
 def parse_can_csv(raw) -> CanLog:
     """Parse CSV text, bytes, or a file object into a CanLog.
 
     Blank lines are skipped and fields may carry surrounding whitespace.
-    The columns are converted whole; when any check fails, the error
-    names the first faulty line.
+    When any check fails, the error names the first faulty line.
 
     Args:
         raw: str, bytes, or a readable file object holding the CSV.
@@ -170,35 +212,8 @@ def parse_can_csv(raw) -> CanLog:
         if isinstance(text, bytes):
             text = text.decode("utf-8")
 
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != HEADER:
-        raise MalformedRow(f"first line must be the header {HEADER!r}")
-
-    rows = list(filter(str.strip, lines[1:]))
-    if not rows:
-        raise EmptyLog("log has a header but no data rows")
-    # every row must split into exactly 3 fields, or the columns misalign
-    if set(map(str.count, rows, repeat(","))) != {2}:
-        _raise_first_fault(lines)
-    fields = ",".join(rows).split(",")
-    signals = fields[1::3]
-    try:
-        times = _floats(fields[0::3])
-        values = _floats(fields[2::3])
-    except ValueError:
-        _raise_first_fault(lines)
-    tokens = {tok: tok.strip() for tok in set(signals)}
-    if not (
-        set(tokens.values()) <= set(SIGNALS)
-        and np.isfinite(times).all()
-        and np.isfinite(values).all()
-        and (times >= 0.0).all()
-        and (values >= 0.0).all()
-    ):
-        _raise_first_fault(lines)
-
-    is_speed_token = {tok: sig == "speed" for tok, sig in tokens.items()}
-    is_speed = np.fromiter(map(is_speed_token.__getitem__, signals), bool, len(signals))
+    columns = _read_columns(text)
+    times, values, is_speed = _scan_lines(text) if columns is None else columns
     speed = _build_series(SpeedSeries, times[is_speed], values[is_speed], "speed")
     pedal = _build_series(PedalSeries, times[~is_speed], values[~is_speed], "pedal")
     return CanLog(speed=speed, pedal=pedal)
@@ -207,8 +222,8 @@ def parse_can_csv(raw) -> CanLog:
 def read_can_csv(path) -> CanLog:
     """Load a log from a file path; names ending in .gz are gunzipped.
 
-    Raises MalformedRow when the file is not UTF-8 text, and whatever
-    parse_can_csv raises.
+    Raises MalformedRow when the file is not UTF-8 text or is a truncated
+    or corrupt gzip stream, and whatever parse_can_csv raises.
     """
     path = str(path)
     opener = gzip.open if path.endswith(".gz") else open
@@ -217,6 +232,10 @@ def read_can_csv(path) -> CanLog:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise MalformedRow(f"log file {path} is not UTF-8 text: {exc}") from None
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise MalformedRow(
+            f"log file {path} is a truncated or corrupt gzip stream: {exc}"
+        ) from None
     return parse_can_csv(text)
 
 

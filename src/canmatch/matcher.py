@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .errors import OracleTooLarge, TrajectoryTooShort, Truncated
+from .errors import BadOption, OracleTooLarge, TrajectoryTooShort, Truncated
 from .roadnet import RoadGraph
 from .trajgraph import TrajectoryGraph
 
@@ -172,9 +172,17 @@ def _match_info(
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     q = wr.size + 1
+    nbytes = max_candidates * q * 8
     # An anonymous mapping commits only the pages the kernel writes and goes
     # back to the OS when freed; a malloc'd buffer this size can stay resident.
-    out = np.frombuffer(mmap.mmap(-1, max_candidates * q * 8), dtype=np.int64)
+    try:
+        buf = mmap.mmap(-1, nbytes)
+    except (OverflowError, OSError) as exc:
+        raise BadOption(
+            f"--max-candidates {max_candidates} at q={q} needs a {nbytes}-byte "
+            f"path buffer, which cannot be mapped: {exc}"
+        ) from None
+    out = np.frombuffer(buf, dtype=np.int64)
     count, truncated = _kernels.enumerate_matches(
         g.indptr, g.nbrs, g.lens, wr, float(sigma), max_candidates, allow_node_reuse, out
     )

@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import gzip
+import re
 import time
 import warnings
 
 import numpy as np
 import pytest
 
+from canmatch import canlog
 from canmatch.canlog import (
     HEADER,
     CanLog,
@@ -113,6 +115,25 @@ def test_read_non_utf8_file(tmp_path, name, opener):
         fh.write(_log_text(["0.0,speed,1", "0.0,pedal,\xff"]).encode("latin-1"))
     with pytest.raises(MalformedRow, match="is not UTF-8 text"):
         read_can_csv(p)
+
+
+@pytest.mark.parametrize("damage", ["truncate", "corrupt", "header"])
+def test_read_truncated_or_corrupt_gz_file(tmp_path, damage):
+    rows = [f"{i / 10!r},speed,{i}" for i in range(2000)] + ["0.0,pedal,1"]
+    log = parse_can_csv(_log_text(rows))
+    whole = tmp_path / "whole.csv.gz"
+    write_can_csv(log, whole)
+    data = bytearray(whole.read_bytes())
+    if damage == "truncate":
+        del data[3000:]
+    elif damage == "corrupt":
+        data[200] ^= 0xFF
+    else:
+        data[0] ^= 0xFF  # the gzip magic number
+    bad = tmp_path / "bad.csv.gz"
+    bad.write_bytes(data)
+    with pytest.raises(MalformedRow, match=f"{re.escape(str(bad))} is a truncated or corrupt"):
+        read_can_csv(bad)
 
 
 def test_duplicate_timestamp_keeps_first():
@@ -321,3 +342,86 @@ def test_parse_matches_line_by_line_reference():
             assert message.startswith(f"line {bad_lineno}: "), (case, message)
             named_faults += 1
     assert named_faults >= 550
+
+
+# splitlines() breaks lines at \v, \f, \x1c-\x1e, \r, \n, \x85 and U+2028,
+# and str.strip() removes \x1f, space and tab; the rest of the tokens are
+# literal characters a field or a line may hold
+_GUARD_TOKENS = (
+    "\0", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f", "\r", "\n", "\x85", "\u2028",
+    " ", "\t", "_", '"', "#", ",", "-", "nan", "speed",
+)
+
+
+def _canonical_text(rng) -> str:
+    """to_csv text of a small random log, with LF or CRLF line ends."""
+    series = []
+    for cls in (SpeedSeries, PedalSeries):
+        n = int(rng.integers(1, 12))
+        times = np.sort(rng.integers(0, 2 * n, n)) * 0.1  # repeats some times
+        values = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0.0, 120.0, n))
+        series.append(cls(times=times, values=values))
+    text = to_csv(CanLog(*series))
+    return text.replace("\n", "\r\n") if rng.random() < 0.5 else text
+
+
+def _edit(rng, text: str) -> str:
+    """text with 0-2 tokens of _GUARD_TOKENS inserted or put in place of a character."""
+    for _ in range(int(rng.integers(3))):
+        token = _GUARD_TOKENS[int(rng.integers(len(_GUARD_TOKENS)))]
+        if rng.random() < 0.5:
+            at = int(rng.integers(len(text) + 1))
+        else:
+            # next to a delimiter, where padding and line breaks change a row
+            stops = [m.start() for m in re.finditer("[,\n]", text)]
+            at = stops[int(rng.integers(len(stops)))] + int(rng.integers(2))
+        text = text[:at] + token + text[at + int(rng.integers(2)) :]
+    return text
+
+
+def _count_line_scans(monkeypatch) -> list:
+    """Record the text of every log parse_can_csv scans line by line."""
+    scanned = []
+    scan = canlog._scan_lines
+
+    def spy(text):
+        scanned.append(text)
+        return scan(text)
+
+    monkeypatch.setattr(canlog, "_scan_lines", spy)
+    return scanned
+
+
+def test_c_reader_guard_matches_line_by_line_reference(monkeypatch):
+    scanned = _count_line_scans(monkeypatch)
+    rng = np.random.default_rng(17)
+    cases = 4000
+    for case in range(cases):
+        text = _edit(rng, _canonical_text(rng))
+        got = _outcome(parse_can_csv, text)
+        assert got == _outcome(reference_parse_can_csv, text), (case, text)
+    assert len(scanned) <= 0.75 * cases
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\n\n", " \t\n", "\r\n"])
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_blank_body_matches_line_by_line_reference(eol, body):
+    text = HEADER + eol + body
+    assert _outcome(parse_can_csv, text) == _outcome(reference_parse_can_csv, text)
+
+
+@pytest.mark.filterwarnings("ignore::canmatch.errors.DuplicateTimestamp")
+def test_canonical_logs_never_take_the_line_scan(tmp_path, monkeypatch):
+    scanned = _count_line_scans(monkeypatch)
+    rng = np.random.default_rng(5)
+    for trial in range(20):
+        text = _canonical_text(rng).replace("\r\n", "\n")
+        log = reference_parse_can_csv(text)
+        crlf = tmp_path / f"crlf{trial}.csv"
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        write_can_csv(log, tmp_path / f"lf{trial}.csv")
+        write_can_csv(log, tmp_path / f"gz{trial}.csv.gz")
+        assert parse_can_csv(text.replace("\n", "\r\n")) == log
+        for name in (f"lf{trial}.csv", f"crlf{trial}.csv", f"gz{trial}.csv.gz"):
+            assert read_can_csv(tmp_path / name) == log
+    assert scanned == []

@@ -1,6 +1,7 @@
 """End-to-end tests driving the CLI entry point in-process."""
 from __future__ import annotations
 
+import gzip
 import hashlib
 import importlib.util
 import json
@@ -443,6 +444,48 @@ def test_attack_on_non_finite_log_exits_input_error(pipeline, tmp_path, capsys, 
     )
     assert rc == 2
     assert "line 8: non-finite field" in capsys.readouterr().err
+
+
+def test_attack_on_truncated_gz_log_exits_input_error(pipeline, tmp_path, capsys):
+    cut = tmp_path / "trunc.csv.gz"
+    cut.write_bytes(gzip.compress((pipeline / "drive.csv").read_bytes(), mtime=0)[:3000])
+    argv = ["attack", "--log", str(cut), "--graph", str(pipeline / "grid.json")]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "kind=MalformedRow" in err
+    assert f"{cut} is a truncated or corrupt gzip stream" in err
+    assert not (tmp_path / "out").exists()
+
+
+def _attack_with_max_candidates(pipeline, tmp_path, capsys, value: str) -> str:
+    """Attack the shared scenario with --max-candidates value; return stderr."""
+    argv = ["attack", "--log", str(pipeline / "drive.csv"), "--graph", str(pipeline / "grid.json")]
+    argv += ["--out-dir", str(tmp_path / "out"), "--max-candidates", value]
+    assert main(argv) == 2
+    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert "kind=BadOption" in err
+    return err
+
+
+def test_attack_with_a_path_buffer_too_large_to_map_exits_bad_option(
+    pipeline, tmp_path, capsys
+):
+    n = 10**20
+    err = _attack_with_max_candidates(pipeline, tmp_path, capsys, str(n))
+    assert f"--max-candidates {n} at q=6 needs a {n * 6 * 8}-byte path buffer" in err
+
+
+def test_attack_whose_path_buffer_mapping_fails_exits_bad_option(
+    pipeline, tmp_path, capsys, monkeypatch
+):
+    def refuse(fileno, length):
+        raise OSError(12, "Cannot allocate memory")
+
+    monkeypatch.setattr(matcher.mmap, "mmap", refuse)
+    err = _attack_with_max_candidates(pipeline, tmp_path, capsys, "1000")
+    assert "--max-candidates 1000 at q=6 needs a 48000-byte path buffer" in err
+    assert "Cannot allocate memory" in err
 
 
 def _args_besides_graph(command, pipeline, tmp_path, log=None) -> list[str]:
