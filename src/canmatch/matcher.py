@@ -177,21 +177,22 @@ def _match_info(
     # back to the OS when freed; a malloc'd buffer this size can stay resident.
     try:
         buf = mmap.mmap(-1, nbytes)
-    except (OverflowError, OSError) as exc:
+        out = np.frombuffer(buf, dtype=np.int64)
+        count, truncated = _kernels.enumerate_matches(
+            g.indptr, g.nbrs, g.lens, wr, float(sigma), max_candidates, allow_node_reuse, out
+        )
+        rows = out[: count * q].reshape(count, q)
+        paths = np.concatenate((rows[:, :1], g.nbrs[rows[:, 1:]]), axis=1)
+        edge_lens = g.lens[rows[:, 1:]]
+        residuals = np.abs(edge_lens - wr)
+        thetas = residuals.sum(axis=1) / wr.size
+        keep = _dedup_orientations(paths, thetas)
+    except (OverflowError, OSError, MemoryError) as exc:
         raise BadOption(
             f"--max-candidates {max_candidates} at q={q} needs a {nbytes}-byte "
-            f"path buffer, which cannot be mapped: {exc}"
+            f"path buffer and the candidate arrays built from it, which do not "
+            f"fit in memory: {exc or type(exc).__name__}"
         ) from None
-    out = np.frombuffer(buf, dtype=np.int64)
-    count, truncated = _kernels.enumerate_matches(
-        g.indptr, g.nbrs, g.lens, wr, float(sigma), max_candidates, allow_node_reuse, out
-    )
-    paths = out[: count * q].reshape(count, q)
-    slots = np.searchsorted(g.keys, paths[:, :-1] * len(g.ids) + paths[:, 1:])
-    edge_lens = g.lens[slots]
-    residuals = np.abs(edge_lens - wr)
-    thetas = residuals.sum(axis=1) / wr.size
-    keep = _dedup_orientations(paths, thetas)
     return _Rung(
         g.ids,
         paths[keep],

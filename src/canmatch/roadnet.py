@@ -64,12 +64,10 @@ class RoadGraph:
     edge. Nodes are indexed in sorted-id order: ``ids``, ``lat`` and ``lon``.
     Edges are CSR neighbour lists, which the matcher searches: node i's
     neighbours are ``nbrs[indptr[i]:indptr[i+1]]`` in ascending index order,
-    with lengths ``lens`` and slot keys ``keys = i*n + nbr``, which ascend,
-    so the length of edge (i, j) is ``lens[searchsorted(keys, i*n + j)]``.
-    Each edge fills two slots; its canonical slot is the one with
-    ``nbr > i``, and those slots in key order are the edges sorted by
-    endpoint pair. ``edge_reversed`` marks, in that order, an edge the input
-    gave from its higher-index end.
+    with lengths ``lens``. Each edge fills two slots; its canonical slot is
+    the one with ``nbr > i``, and those slots in slot order are the edges
+    sorted by endpoint pair. ``edge_reversed`` marks, in that order, an
+    edge the input gave from its higher-index end.
 
     A repeated node id keeps its last row. Parallel edges between the same
     endpoints are collapsed to the shortest, the first one given on ties;
@@ -122,13 +120,12 @@ class RoadGraph:
         self.edge_reversed = (u > v)[pick]
 
         eu, ev, ew = lo[pick], hi[pick], w[pick]
-        keys = np.concatenate((eu * n + ev, ev * n + eu))
-        slot = np.argsort(keys)
-        self.keys = keys[slot]
+        slot = np.argsort(np.concatenate((eu * n + ev, ev * n + eu)))
         self.nbrs = np.concatenate((ev, eu))[slot]
         self.lens = np.concatenate((ew, ew))[slot]
-        self.indptr = np.searchsorted(self.keys, np.arange(n + 1, dtype=np.int64) * n)
-        for name in ("lat", "lon", "edge_reversed", "keys", "nbrs", "lens", "indptr"):
+        rows = np.concatenate((eu, ev))[slot]
+        self.indptr = np.searchsorted(rows, np.arange(n + 1, dtype=np.int64))
+        for name in ("lat", "lon", "edge_reversed", "nbrs", "lens", "indptr"):
             getattr(self, name).flags.writeable = False
 
     @property
@@ -150,9 +147,9 @@ class RoadGraph:
         i, j = self._index.get(a), self._index.get(b)
         if i is None or j is None:
             return -1
-        key = i * len(self.ids) + j
-        slot = int(np.searchsorted(self.keys, key))
-        return slot if slot < self.keys.size and self.keys[slot] == key else -1
+        lo, hi = int(self.indptr[i]), int(self.indptr[i + 1])
+        slot = lo + int(np.searchsorted(self.nbrs[lo:hi], j))
+        return slot if slot < hi and self.nbrs[slot] == j else -1
 
     @property
     def nodes(self) -> dict[str, RoadNode]:
@@ -183,7 +180,7 @@ class RoadGraph:
             return NotImplemented
         return self.ids == other.ids and all(
             np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("lat", "lon", "keys", "lens", "edge_reversed")
+            for name in ("lat", "lon", "indptr", "nbrs", "lens", "edge_reversed")
         )
 
 

@@ -435,22 +435,20 @@ def reference_graph_json(by_id: dict, edges: list[RoadEdge]) -> str:
 
 
 def reference_graph_csr(by_id: dict, edges: list[RoadEdge]):
-    """CSR arrays (indptr, nbrs, lens, keys) of a reference_road_graph.
+    """CSR arrays (indptr, nbrs, lens) of a reference_road_graph.
 
     Node indices follow sorted ids; each node's slots ascend by neighbour
-    index, so the slot keys u*n+v ascend.
+    index.
     """
     ids = sorted(by_id)
-    n = len(ids)
     index = {nid: i for i, nid in enumerate(ids)}
     u = np.array([index[e.u] for e in edges], dtype=np.int64)
     v = np.array([index[e.v] for e in edges], dtype=np.int64)
     w = np.array([e.length_m for e in edges], dtype=np.float64)
-    keys = np.concatenate((u * n + v, v * n + u))
-    order = np.argsort(keys)
-    keys = keys[order]
-    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-    return indptr, np.concatenate((v, u))[order], np.concatenate((w, w))[order], keys
+    rows, nbrs = np.concatenate((u, v)), np.concatenate((v, u))
+    order = np.lexsort((nbrs, rows))
+    indptr = np.searchsorted(rows[order], np.arange(len(ids) + 1, dtype=np.int64))
+    return indptr, nbrs[order], np.concatenate((w, w))[order]
 
 
 def reference_bbox_filter(g: RoadGraph, center_lat: float, center_lon: float, side_km: float):

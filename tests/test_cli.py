@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from canmatch import cli, matcher, simulate, trajgraph
+from canmatch import _kernels, cli, matcher, simulate, trajgraph
 from canmatch.canlog import read_can_csv, write_can_csv
 from canmatch.cli import main
 from canmatch.metrics import GroundTruth
@@ -486,6 +486,21 @@ def test_attack_whose_path_buffer_mapping_fails_exits_bad_option(
     err = _attack_with_max_candidates(pipeline, tmp_path, capsys, "1000")
     assert "--max-candidates 1000 at q=6 needs a 48000-byte path buffer" in err
     assert "Cannot allocate memory" in err
+
+
+@pytest.mark.parametrize(
+    "module, name", [(_kernels, "enumerate_matches"), (matcher, "_dedup_orientations")]
+)
+def test_attack_that_runs_out_of_memory_while_matching_exits_bad_option(
+    pipeline, tmp_path, capsys, monkeypatch, module, name
+):
+    def exhaust(*args):
+        raise MemoryError("Unable to allocate 45.0 MiB")
+
+    monkeypatch.setattr(module, name, exhaust)
+    err = _attack_with_max_candidates(pipeline, tmp_path, capsys, "1000")
+    assert "--max-candidates 1000 at q=6 needs a 48000-byte path buffer" in err
+    assert "Unable to allocate 45.0 MiB" in err
 
 
 def _args_besides_graph(command, pipeline, tmp_path, log=None) -> list[str]:

@@ -427,7 +427,14 @@ def test_block_kernel_matches_reference_dfs(monkeypatch, block_rows):
                 got = _kernels.enumerate_matches(*args, cap, reuse, got_out)
                 assert got == want
                 count = want[0]
-                assert np.array_equal(got_out[: count * q], want_out[: count * q])
+                # a row is the start node, then the CSR slot of each edge taken
+                rows = got_out[: count * q].reshape(count, q)
+                slots = rows[:, 1:]
+                nodes = np.concatenate((rows[:, :1], nbrs[slots]), axis=1)
+                assert np.array_equal(nodes.ravel(), want_out[: count * q])
+                prev = nodes[:, :-1]
+                assert ((indptr[prev] <= slots) & (slots < indptr[prev + 1])).all()
+                assert (np.abs(lens[slots] - wr) <= sigma * lens[slots]).all()
                 checked += count > 0
     assert checked > 0
 

@@ -38,6 +38,7 @@ from helpers import (
     M_TO_DEG_LON,
     equator_node,
     graph_of,
+    random_graph,
     reference_bbox_filter,
     reference_graph_csr,
     reference_graph_json,
@@ -293,6 +294,23 @@ def test_dict_round_trip_structural_equality(tmp_path):
         assert graph_from_dict(json.loads(p.read_text())) == g
 
 
+def test_edge_slot_equals_a_scan_of_the_csr_rows():
+    rng = np.random.default_rng(23)
+    graphs = [random_graph(rng, int(rng.integers(2, 30))) for _ in range(12)]
+    # an isolated node and an edgeless graph have empty CSR rows
+    graphs.append(graph_of([*graphs[0].nodes.values(), equator_node("~", 0.0)], graphs[0].edges))
+    graphs.append(graph_of([equator_node("a", 0.0), equator_node("b", 100.0)], []))
+    for g in graphs:
+        ptr, nbrs = g.indptr.tolist(), g.nbrs.tolist()
+        for i, a in enumerate(g.ids):
+            row = range(ptr[i], ptr[i + 1])
+            for j, b in enumerate(g.ids):
+                want = next((s for s in row if nbrs[s] == j), -1)
+                assert g.edge_slot(a, b) == want
+            assert g.edge_slot(a, "ghost") == g.edge_slot("ghost", a) == -1
+        assert g.edge_slot("ghost", "ghost") == -1
+
+
 def test_graphs_differing_in_one_field_are_unequal():
     nodes = [equator_node("a", 0.0), equator_node("b", 100.0), equator_node("c", 250.0)]
     edges = [RoadEdge("a", "b", 100.0), RoadEdge("b", "c", 100.0)]
@@ -445,8 +463,10 @@ def _assert_same_graph(g: RoadGraph, by_id: dict, edges: list[RoadEdge], tmp_pat
     path = tmp_path / "g.json"
     save_graph(g, path)
     assert path.read_text(encoding="utf-8") == reference_graph_json(by_id, edges)
-    for got, want in zip((g.indptr, g.nbrs, g.lens, g.keys), reference_graph_csr(by_id, edges)):
+    csr = reference_graph_csr(by_id, edges)
+    for got, want in zip((g.indptr, g.nbrs, g.lens), csr, strict=True):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert not hasattr(g, "keys")
 
 
 def test_columnar_graph_equals_dict_based_constructor(tmp_path):
