@@ -3,13 +3,24 @@
 The search moves blocks of partial paths through numpy instead of one path
 at a time. A row is a start node + slots: its start node, then the CSR
 slot of each edge it took, so node j > 0 is ``nbrs[row[j]]`` and edge j's
-length is ``lens[row[j+1]]``. A stack holds blocks of at most BLOCK_ROWS
-equal-length rows. Popping a block gathers the neighbour slots of every
-row in slot order, keeps the edges that pass that depth's tolerance test
-(and, unless node reuse is allowed, lead off the path), and pushes the
-extended rows back as blocks, first block on top. Complete paths therefore
-come out in exactly the order a depth-first search from node 0 upward
-finds them. The stack holds what is left of at most one expanded block per
+length is ``lens[row[j+1]]``.
+
+Before searching, a backward pass builds each depth's level from the last
+depth to the first: a slot is kept at depth d if its edge passes d's
+tolerance test and its target is alive at depth d+1, and a node is alive
+at depth d if it keeps at least one slot there. Only nodes alive at depth
+0 start a row, so no row is ever extended from a node whose remaining
+weights cannot be matched. Aliveness ignores node reuse, so it drops only
+rows none of whose descendants is a complete path.
+
+A stack holds blocks of at most BLOCK_ROWS equal-length rows. Popping a
+block looks up the kept slots of every row's last node in slot order.
+Unless node reuse is allowed, a new node already on its row is dropped:
+the test compares the new nodes with one column of the block at a time,
+and builds the extended rows only for the nodes that pass. The extended
+rows go back as blocks, first block on top. Complete paths therefore come
+out in exactly the order a depth-first search from node 0 upward finds
+them. The stack holds what is left of at most one expanded block per
 depth, so memory stays bounded however many paths match.
 """
 
@@ -28,33 +39,50 @@ def enumerate_matches(indptr, nbrs, lens, wr, sigma, max_count, allow_reuse, out
     into out as its start node followed by the len(wr) CSR slots it took,
     flat and in depth-first order. Returns (count, truncated); when more
     than max_count paths exist, out holds the first max_count.
+
+    Without node reuse, a path of more nodes than the graph has cannot
+    exist, and the search returns (0, False) at once. Otherwise a backward
+    pass first keeps, at each depth, only the slots whose target can still
+    match the rest of wr (node reuse aside), and the search starts only
+    from nodes that keep a slot at depth 0. Without node reuse, a new node
+    is compared with the row's start and its nodes 1..d-1, one column at a
+    time, but not with the row's last node. That is exact only because no
+    CSR row lists its own node; RoadGraph drops self loops.
     """
     n = indptr.shape[0] - 1
     q = wr.shape[0] + 1
-    # per depth: the CSR cut down to the slots that pass that depth's test
+    if q > n and not allow_reuse:
+        return 0, False
+    # per depth, last to first: the slots that pass that depth's test and
+    # lead to a node alive at the next depth, as a CSR over the nodes
+    row = np.repeat(np.arange(n), np.diff(indptr))
+    alive = np.ones(n, dtype=np.bool_)
     levels = []
-    for d in range(q - 1):
-        ok = np.abs(lens - wr[d]) <= sigma * lens
-        kept = np.concatenate(([0], np.cumsum(ok)))
-        levels.append((kept[indptr], np.flatnonzero(ok)))
-    starts = np.arange(n, dtype=np.int64)[:, None]
-    stack = [starts[i : i + BLOCK_ROWS] for i in range(0, n, BLOCK_ROWS)][::-1]
+    for d in reversed(range(q - 1)):
+        adj = np.flatnonzero((np.abs(lens - wr[d]) <= sigma * lens) & alive[nbrs])
+        deg = np.bincount(row[adj], minlength=n)
+        levels.append((np.concatenate(([0], np.cumsum(deg))), deg, adj))
+        alive = deg > 0
+    levels.reverse()
+    starts = np.flatnonzero(alive)[:, None]
+    stack = [starts[i : i + BLOCK_ROWS] for i in range(0, len(starts), BLOCK_ROWS)][::-1]
     count = 0
     while stack:
         block = stack.pop()
         d = block.shape[1] - 1
-        ptr, adj = levels[d]
-        nodes = np.concatenate((block[:, :1], nbrs[block[:, 1:]]), axis=1)
-        lo = ptr[nodes[:, -1]]
-        deg = ptr[nodes[:, -1] + 1] - lo
-        total = int(deg.sum())
-        if total == 0:
-            continue
+        ptr, degs, adj = levels[d]
+        last = nbrs[block[:, -1]] if d else block[:, 0]
+        lo = ptr[last]
+        deg = degs[last]
         rep = np.repeat(np.arange(block.shape[0]), deg)
-        s = adj[np.arange(total) + np.repeat(lo - (np.cumsum(deg) - deg), deg)]
-        if not allow_reuse:
-            fresh = ~(nodes[rep] == nbrs[s][:, None]).any(axis=1)
-            rep, s = rep[fresh], s[fresh]
+        s = adj[np.arange(rep.size) + np.repeat(lo - (np.cumsum(deg) - deg), deg)]
+        if d and not allow_reuse:
+            v = nbrs[s]
+            hit = block[rep, 0] == v
+            for j in range(1, d):
+                hit |= nbrs[block[:, j]][rep] == v
+            keep = np.flatnonzero(~hit)
+            rep, s = rep[keep], s[keep]
         child = np.empty((s.size, d + 2), dtype=np.int64)
         child[:, :-1] = block[rep]
         child[:, -1] = s

@@ -89,6 +89,17 @@ def test_trajectory_longer_than_any_simple_path():
     assert match_paths(g, traj_of([100.0] * 5), 0.5) == []
 
 
+@pytest.mark.parametrize("reuse", [False, True])
+@pytest.mark.parametrize("extra", [0, 1, 5])
+def test_kernel_query_with_more_nodes_than_the_map(extra, reuse):
+    # a simple path cannot have more nodes than the map, and the line itself
+    # has as many; with reuse, paths bounce back and forth along the line
+    g, _ = line_graph([100.0, 100.0])
+    wr = np.full(len(g.ids) + extra - 1, 100.0)
+    exact = _assert_kernel_equals_reference(g.indptr, g.nbrs, g.lens, wr, 0.5, reuse)
+    assert (exact > 0) == (reuse or extra == 0)
+
+
 def test_empty_graph_matches_nothing():
     g = graph_of([], [])
     assert match_paths(g, traj_of([100.0]), 0.05) == []
@@ -399,6 +410,32 @@ def test_backend_reports_a_known_name():
     assert _kernels.backend() == "numpy"
 
 
+def _assert_kernel_equals_reference(indptr, nbrs, lens, wr, sigma, reuse) -> int:
+    """Kernel against reference_enumerate at caps 1, 37, exact and 100,000;
+    returns the exact count."""
+    q = wr.shape[0] + 1
+    args = (indptr, nbrs, lens, wr, sigma)
+    exact, _ = reference_enumerate(
+        *args, 100_000, reuse, np.empty(100_000 * q, dtype=np.int64)
+    )
+    for cap in (1, 37, exact, 100_000):
+        want_out = np.empty(cap * q, dtype=np.int64)
+        got_out = np.empty(cap * q, dtype=np.int64)
+        want = reference_enumerate(*args, cap, reuse, want_out)
+        got = _kernels.enumerate_matches(*args, cap, reuse, got_out)
+        assert got == want
+        count = want[0]
+        # a row is the start node, then the CSR slot of each edge taken
+        rows = got_out[: count * q].reshape(count, q)
+        slots = rows[:, 1:]
+        nodes = np.concatenate((rows[:, :1], nbrs[slots]), axis=1)
+        assert np.array_equal(nodes.ravel(), want_out[: count * q])
+        prev = nodes[:, :-1]
+        assert ((indptr[prev] <= slots) & (slots < indptr[prev + 1])).all()
+        assert (np.abs(lens[slots] - wr) <= sigma * lens[slots]).all()
+    return exact
+
+
 @pytest.mark.parametrize("block_rows", [3, _kernels.BLOCK_ROWS])
 def test_block_kernel_matches_reference_dfs(monkeypatch, block_rows):
     # small blocks make the kernel split and stack blocks even on small graphs
@@ -407,36 +444,63 @@ def test_block_kernel_matches_reference_dfs(monkeypatch, block_rows):
     checked = 0
     for _ in range(20):
         g = random_graph(rng, int(rng.integers(9, 50)))
-        indptr, nbrs, lens = g.indptr, g.nbrs, g.lens
         n_edges = int(rng.integers(1, 5))
         path = some_path(g, n_edges + 1, rng)
         if path is None:
             continue
         sigma = float(rng.choice([0.1, 0.3, 0.5]))
         wr = np.array(path_weights(g, path)) * rng.uniform(0.9, 1.1, size=n_edges)
-        q = n_edges + 1
         for reuse in (False, True):
-            args = (indptr, nbrs, lens, wr, sigma)
-            exact, _ = reference_enumerate(
-                *args, 100_000, reuse, np.empty(100_000 * q, dtype=np.int64)
-            )
-            for cap in (1, 37, exact, 100_000):
-                want_out = np.empty(cap * q, dtype=np.int64)
-                got_out = np.empty(cap * q, dtype=np.int64)
-                want = reference_enumerate(*args, cap, reuse, want_out)
-                got = _kernels.enumerate_matches(*args, cap, reuse, got_out)
-                assert got == want
-                count = want[0]
-                # a row is the start node, then the CSR slot of each edge taken
-                rows = got_out[: count * q].reshape(count, q)
-                slots = rows[:, 1:]
-                nodes = np.concatenate((rows[:, :1], nbrs[slots]), axis=1)
-                assert np.array_equal(nodes.ravel(), want_out[: count * q])
-                prev = nodes[:, :-1]
-                assert ((indptr[prev] <= slots) & (slots < indptr[prev + 1])).all()
-                assert (np.abs(lens[slots] - wr) <= sigma * lens[slots]).all()
-                checked += count > 0
+            exact = _assert_kernel_equals_reference(g.indptr, g.nbrs, g.lens, wr, sigma, reuse)
+            checked += exact > 0
     assert checked > 0
+
+
+@pytest.mark.parametrize("block_rows", [3, _kernels.BLOCK_ROWS])
+def test_block_kernel_matches_reference_dfs_where_most_prefixes_die(monkeypatch, block_rows):
+    # Random graphs plus isolated nodes and leaves hung off them by edges
+    # over twice as long as any other, so that a weight fitting a leaf edge
+    # fits no other edge. The query follows a walk out of a leaf, reversed:
+    # as is, only walks into a leaf complete; followed by its own reverse,
+    # the walk goes into a leaf and back out, which only node reuse admits;
+    # with a weight no edge fits, no node is alive at depth 0.
+    monkeypatch.setattr(_kernels, "BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(19)
+    checked = {"last": 0, "middle": 0, "none": 0}
+    for trial in range(30):
+        g = random_graph(rng, int(rng.integers(9, 50)))
+        spacing = float(g.lens.max())
+        nodes, edges = list(g.nodes.values()), g.edges
+        for i in range(int(rng.integers(1, 4))):
+            nodes.append(equator_node(f"iso{i}", -spacing * (i + 1), lat=1.0))
+        leaves = int(rng.integers(1, 4))
+        for i in range(leaves):
+            nodes.append(equator_node(f"leaf{i}", -spacing * (i + 1), lat=-1.0))
+            hub = g.ids[int(rng.integers(len(g.ids)))]
+            edges.append(RoadEdge(hub, f"leaf{i}", spacing * float(rng.uniform(2.5, 2.7))))
+        g = graph_of(nodes, edges)
+        n_edges = int(rng.integers(2, 6))
+        walk = [int(g.index([f"leaf{int(rng.integers(leaves))}"])[0])]
+        while len(walk) <= n_edges:
+            row = g.nbrs[g.indptr[walk[-1]] : g.indptr[walk[-1] + 1]].tolist()
+            fresh = [v for v in row if v not in walk]
+            if not fresh:
+                break
+            walk.append(fresh[int(rng.integers(len(fresh)))])
+        if len(walk) <= n_edges:
+            continue
+        wr = np.array(path_weights(g, [g.ids[i] for i in reversed(walk)]))
+        wr *= rng.uniform(0.97, 1.03, size=n_edges)
+        mode = ("last", "middle", "none")[trial % 3]
+        if mode == "middle":
+            wr = np.concatenate((wr, wr[::-1]))
+        elif mode == "none":
+            wr[int(rng.integers(n_edges))] = spacing * 10.0
+        for reuse in (False, True):
+            exact = _assert_kernel_equals_reference(g.indptr, g.nbrs, g.lens, wr, 0.1, reuse)
+            assert (exact > 0) == (mode == "last" or (mode == "middle" and reuse))
+        checked[mode] += 1
+    assert min(checked.values()) > 0
 
 
 def test_hostile_query_stops_at_the_cap_in_bounded_memory():

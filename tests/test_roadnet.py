@@ -128,6 +128,36 @@ def test_parallel_edges_keep_shortest_and_self_loops_drop():
     assert g.edges[0].length_m == 100.0
 
 
+def test_no_csr_row_lists_its_own_node():
+    # the kernel's revisit test never compares a new node with the row's
+    # last node, which is exact only if no node is its own neighbour
+    rng = np.random.default_rng(23)
+    graphs = []
+    for _ in range(12):
+        g = random_graph(rng, int(rng.integers(4, 40)))
+        loops = [
+            RoadEdge(str(x), str(x), float(rng.uniform(1.0, 500.0)))
+            for x in rng.choice(g.ids, size=5)
+        ]
+        graphs.append(graph_of(list(g.nodes.values()), loops + g.edges + loops))
+    doc = {
+        "version": GRAPH_FORMAT_VERSION,
+        "nodes": [{"id": i, "lat": 0.0, "lon": x} for i, x in (("a", 0.0), ("b", 0.01))],
+        "edges": [
+            {"u": u, "v": v, "length_m": 5.0} for u, v in (("a", "a"), ("a", "b"), ("b", "b"))
+        ],
+    }
+    graphs.append(graph_from_dict(doc))
+    # a closed way whose inner nodes no other way uses is a loop on its end
+    nodes = {"a": (0.01, 0.0), "b": (0.01, _lon(100)), "c": (0.012, _lon(50)), "d": (0.0, 0.0)}
+    ways = [(["a", "b", "c", "a"], "primary"), (["a", "d"], "primary")]
+    graphs.append(parse_osm_xml(_osm(nodes, ways)))
+    for g in graphs:
+        rows = np.repeat(np.arange(len(g.ids)), np.diff(g.indptr))
+        assert g.edge_count > 0
+        assert (g.nbrs != rows).all()
+
+
 def test_edge_to_unknown_node_rejected():
     with pytest.raises(DanglingNodeRef):
         graph_of([equator_node("a", 0.0)], [RoadEdge("a", "zzz", 10.0)])
