@@ -13,7 +13,6 @@ from .matcher import (
     CandidatePath,
     MatchConfig,
     brute_force_match,
-    match_paths,
     result_from_dict,
     result_to_geojson,
     run_attack,
@@ -42,7 +41,6 @@ __all__ = [
     "evaluate",
     "load_graph",
     "make_synthetic_grid",
-    "match_paths",
     "parse_can_csv",
     "read_can_csv",
     "read_osm_xml",

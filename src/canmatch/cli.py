@@ -79,7 +79,14 @@ def _tuple_of(kind):
     return convert
 
 
-_floats, _ints = _tuple_of(float), _tuple_of(int)
+def _int(value) -> int:
+    """An integer option's value: the flag's text, or a config file's integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"an integer option takes an integer, not {value!r}")
+    return int(value)
+
+
+_floats, _ints = _tuple_of(float), _tuple_of(_int)
 
 
 def _switch(value) -> bool:
@@ -93,12 +100,12 @@ def _switch(value) -> bool:
 # the argparse settings of its flag (None: only a config file sets it).
 _OPTIONS = {
     "bbox": (_floats, {"help": "lat,lon,side_km square window"}),
-    "n": (int, {}),
+    "n": (_int, {}),
     "spacing-m": (float, {}),
     "jitter": (float, {}),
-    "seed": (int, {}),
+    "seed": (_int, {}),
     "origin": (_floats, {"help": "lat,lon of grid corner"}),
-    "q": (int, {}),
+    "q": (_int, {}),
     "cruise-mps": (float, {}),
     "sample-period-s": (float, {}),
     "dwell-s": (_floats, {"help": "lo,hi stop dwell seconds"}),
@@ -109,17 +116,17 @@ _OPTIONS = {
     "noise-std": (float, {"help": "speed noise stdev, m/s"}),
     "stop-offset-m": (float, {}),
     "event-pattern": (str, {"choices": simulate.EVENT_PATTERNS}),
-    "k": (int, {}),
+    "k": (_int, {}),
     "sigma-ladder": (_floats, {"help": "comma-separated ascending fractions"}),
-    "max-candidates": (int, {}),
+    "max-candidates": (_int, {}),
     "allow-node-reuse": (_switch, None),
     "pedal-idle-tol": (float, {}),
     "include-first-event": (_switch, {"action": "store_const", "const": True}),
     "sides-km": (_floats, {"help": "comma-separated map sizes"}),
     "qs": (_ints, {"help": "comma-separated route lengths"}),
     "ks": (_ints, {"help": "comma-separated top-K values"}),
-    "trials": (int, {}),
-    "workers": (int, {}),
+    "trials": (_int, {}),
+    "workers": (_int, {}),
     "grid-jitter": (float, {}),
 }
 

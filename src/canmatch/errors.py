@@ -103,10 +103,6 @@ class NoCandidates(UserWarning):
     """A signal produced no candidate points."""
 
 
-class Truncated(UserWarning):
-    """Path enumeration stopped at the candidate cap."""
-
-
 class DuplicateTimestamp(UserWarning):
     """A signal repeats a timestamp; the first occurrence wins."""
 

@@ -4,19 +4,22 @@ A candidate is a simple path in the road graph whose consecutive edge
 lengths all agree with the trajectory's edge weights within a tolerance
 fraction sigma of the road length. Candidates are ranked by theta, the
 mean absolute weight deviation per edge; smaller is better.
+
+run_attack is the one matching pipeline: it climbs the sigma ladder one
+rung at a time, and top_k, the one place that ranks, picks the deciding
+rung's k best rows.
 """
 
 from __future__ import annotations
 
 import mmap
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
-from .errors import BadOption, OracleTooLarge, TrajectoryTooShort, Truncated
+from .errors import BadOption, OracleTooLarge, TrajectoryTooShort
 from .roadnet import RoadGraph
 from .trajgraph import TrajectoryGraph
 
@@ -36,7 +39,7 @@ class MatchConfig:
         object.__setattr__(self, "sigma_ladder", ladder)
         if not ladder:
             raise ValueError("sigma_ladder must not be empty")
-        if any(s <= 0 or s > 1 for s in ladder):
+        if any(not 0 < s <= 1 for s in ladder):
             raise ValueError("sigma values must lie in (0, 1]")
         if any(b <= a for a, b in zip(ladder, ladder[1:])):
             raise ValueError("sigma_ladder must be strictly ascending")
@@ -146,7 +149,7 @@ class _Rung(NamedTuple):
     sigma: float
     truncated: bool
 
-    def candidates(self, rows=slice(None)) -> list[CandidatePath]:
+    def candidates(self, rows) -> list[CandidatePath]:
         ids = self.ids
         return [
             CandidatePath(
@@ -169,8 +172,6 @@ def _match_info(
     g: RoadGraph, traj, sigma: float, max_candidates: int, allow_node_reuse: bool
 ) -> _Rung:
     wr = _edge_weights(traj)
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     q = wr.size + 1
     nbytes = max_candidates * q * 8
     # An anonymous mapping commits only the pages the kernel writes and goes
@@ -204,57 +205,23 @@ def _match_info(
     )
 
 
-def match_paths(
-    g: RoadGraph,
-    traj,
-    sigma: float,
-    *,
-    max_candidates: int = DEFAULT_MAX_CANDIDATES,
-    allow_node_reuse: bool = False,
-) -> list[CandidatePath]:
-    """All road paths matching the trajectory weights at tolerance sigma.
+def top_k(rung: _Rung, k: int) -> list[CandidatePath]:
+    """The k best rows of a rung as candidates: the one place that ranks.
 
-    Returns one candidate per undirected path, oriented whichever way
-    aligns better with the trajectory, in node-id order. Warns Truncated
-    and returns a deterministic prefix if more than max_candidates raw
-    paths exist.
+    Ascending theta; the rows are in node-id order and the sort is stable,
+    so ties go to the smaller node-id sequence. Only these k rows become
+    CandidatePath objects.
     """
-    rung = _match_info(g, traj, sigma, max_candidates, allow_node_reuse)
-    if rung.truncated:
-        warnings.warn(
-            f"enumeration stopped at {max_candidates} paths", Truncated, stacklevel=2
-        )
-    return rung.candidates()
-
-
-def top_k(
-    cands: list[CandidatePath],
-    k: int,
-    *,
-    trajectory: TrajectoryGraph | None = None,
-    config: MatchConfig | None = None,
-) -> AttackResult:
-    """Rank candidates by ascending theta (ties: node-id order), keep k."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    ranked = sorted(cands, key=lambda c: (c.theta_m, c.node_ids))[:k]
-    sigma_used = ranked[0].sigma_used if ranked else None
-    return AttackResult(
-        candidates=ranked,
-        trajectory=trajectory,
-        config=config if config is not None else MatchConfig(k=k),
-        sigma_used=sigma_used,
-    )
+    return rung.candidates(np.argsort(rung.thetas, kind="stable")[:k])
 
 
 def run_attack(g: RoadGraph, traj: TrajectoryGraph, config: MatchConfig) -> AttackResult:
-    """Climb the sigma ladder, rank, and package: the full matching pipeline.
+    """Climb the sigma ladder, rank, and package: the matching pipeline.
 
     Stops at the first rung yielding >= k candidates; if the ladder is
     exhausted, ranks whatever the largest sigma produced (possibly
     nothing). Every candidate is tagged with the sigma that admitted it.
-    Only the k best rows become CandidatePath objects: a stable sort by
-    theta over rows in node-id order picks what top_k would.
+    Ranking is top_k's alone.
     """
     for sigma in config.sigma_ladder:
         rung = _match_info(
@@ -262,11 +229,7 @@ def run_attack(g: RoadGraph, traj: TrajectoryGraph, config: MatchConfig) -> Atta
         )
         if len(rung.thetas) >= config.k:
             break
-    best = np.argsort(rung.thetas, kind="stable")[: config.k]
-    result = top_k(rung.candidates(best), config.k, trajectory=traj, config=config)
-    result.sigma_used = rung.sigma
-    result.truncated = rung.truncated
-    return result
+    return AttackResult(top_k(rung, config.k), traj, config, rung.sigma, rung.truncated)
 
 
 def brute_force_match(
@@ -282,7 +245,7 @@ def brute_force_match(
     Recursively walks the graph's CSR neighbour lists to list all paths
     with the right node count, carrying each edge's length along, applies
     the tolerance test afterwards, and dedups orientations. Exists to check
-    match_paths against; refuses graphs over node_limit.
+    run_attack against; refuses graphs over node_limit.
     """
     if len(g.ids) > node_limit:
         raise OracleTooLarge(f"{len(g.ids)} nodes exceeds limit {node_limit}")

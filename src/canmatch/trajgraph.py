@@ -9,13 +9,14 @@ flag; only the events that survive merging become TrajectoryNodes.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .canlog import CanLog, PedalSeries, SpeedSeries
-from .errors import DegenerateClusters, InsufficientData, NoCandidates, TooFewNodes
+from .errors import BadOption, DegenerateClusters, InsufficientData, NoCandidates, TooFewNodes
 
 KIND_STOP = "stop"
 KIND_TURN = "turn"
@@ -63,8 +64,11 @@ def candidate_points(series, *, pedal_idle_tol: float = 0.5) -> np.ndarray:
 
     A SpeedSeries yields stop candidates (speed exactly zero). A PedalSeries
     yields turn candidates (value within pedal_idle_tol of the series
-    minimum, the resting pedal level).
+    minimum, the resting pedal level). Raises BadOption for a tolerance
+    that is negative or not finite.
     """
+    if not 0 <= pedal_idle_tol < math.inf:
+        raise BadOption(f"pedal_idle_tol must be finite and non-negative, not {pedal_idle_tol}")
     if isinstance(series, SpeedSeries):
         mask = series.values == 0.0
         kind = KIND_STOP

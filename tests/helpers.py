@@ -25,6 +25,7 @@ from canmatch.errors import (
     UnknownSignal,
 )
 from canmatch.geo import EARTH_RADIUS_M, M_PER_DEG_LAT, haversine_m
+from canmatch.matcher import DEFAULT_MAX_CANDIDATES, CandidatePath, MatchConfig, run_attack
 from canmatch.roadnet import RoadEdge, RoadGraph, RoadNode
 from canmatch.simulate import MS_TO_KMH
 from canmatch.trajgraph import (
@@ -94,6 +95,25 @@ def traj_of(weights: list[float]) -> TrajectoryGraph:
         for i in range(len(weights) + 1)
     ]
     return TrajectoryGraph(nodes=nodes, edge_weights_m=np.asarray(weights, dtype=np.float64))
+
+
+def all_matches(
+    g: RoadGraph,
+    traj: TrajectoryGraph,
+    sigma: float,
+    *,
+    max_candidates: int = DEFAULT_MAX_CANDIDATES,
+    allow_node_reuse: bool = False,
+) -> list[CandidatePath]:
+    """Every candidate run_attack admits at tolerance sigma, in node-id order.
+
+    One rung and k equal to the cap, so the ranking cuts nothing.
+    """
+    cfg = MatchConfig(
+        (sigma,), k=max_candidates, max_candidates=max_candidates,
+        allow_node_reuse=allow_node_reuse,
+    )
+    return sorted(run_attack(g, traj, cfg).candidates, key=lambda c: c.node_ids)
 
 
 def path_weights(g: RoadGraph, ids: list[str]) -> list[float]:

@@ -20,7 +20,6 @@ from canmatch.matcher import (
     CandidatePath,
     MatchConfig,
     brute_force_match,
-    match_paths,
     run_attack,
 )
 from canmatch.metrics import GroundTruth, evaluate
@@ -31,7 +30,15 @@ from canmatch.simulate import (
     synthesize_can,
 )
 from canmatch.trajgraph import build_trajectory, compute_threshold, positions_m
-from helpers import equator_node, graph_of, path_weights, random_graph, some_path, traj_of
+from helpers import (
+    all_matches,
+    equator_node,
+    graph_of,
+    path_weights,
+    random_graph,
+    some_path,
+    traj_of,
+)
 
 
 # --- 1: the pruned search returns exactly what exhaustive enumeration does
@@ -39,7 +46,7 @@ from helpers import equator_node, graph_of, path_weights, random_graph, some_pat
 
 def test_matcher_equals_exhaustive_oracle_on_1000_instances():
     # compile the enumeration kernel once before the clock starts
-    match_paths(random_graph(np.random.default_rng(0), 9), traj_of([100.0]), 0.05)
+    all_matches(random_graph(np.random.default_rng(0), 9), traj_of([100.0]), 0.05)
     rng = np.random.default_rng(101)
     t0 = time.perf_counter()
     done = 0
@@ -60,7 +67,7 @@ def test_matcher_equals_exhaustive_oracle_on_1000_instances():
         else:
             wr = rng.uniform(50.0, 600.0, size=n_edges)
         done += 1
-        fast = match_paths(g, traj_of(list(wr)), sigma)
+        fast = all_matches(g, traj_of(list(wr)), sigma)
         slow = brute_force_match(g, traj_of(list(wr)), sigma)
         assert [c.node_ids for c in fast] == [c.node_ids for c in slow]
         for a, b in zip(fast, slow):
@@ -206,7 +213,7 @@ def test_candidate_sets_grow_monotonically_with_tolerance():
         for sigma in DEFAULT_SIGMA_LADDER:
             keys = {
                 min(c.node_ids, c.node_ids[::-1])
-                for c in match_paths(g, traj_of(wr), sigma)
+                for c in all_matches(g, traj_of(wr), sigma)
             }
             assert prev <= keys
             prev = keys

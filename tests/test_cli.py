@@ -359,7 +359,13 @@ def test_main_builds_its_parser_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "option",
-    [["--k", "0"], ["--sigma-ladder", "0.2,0.1"], ["--sigma-ladder", "abc"]],
+    [
+        ["--k", "0"],
+        ["--sigma-ladder", "0.2,0.1"],
+        ["--sigma-ladder", "abc"],
+        ["--sigma-ladder", "nan"],
+        ["--sigma-ladder", "0.05,nan"],
+    ],
 )
 def test_attack_rejects_bad_match_option_before_reading_input(
     pipeline, tmp_path, capsys, option
@@ -373,7 +379,65 @@ def test_attack_rejects_bad_match_option_before_reading_input(
         ]
     )
     assert rc == 2
-    assert "stage=parse" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "stage=parse" not in err
+    assert "kind=BadOption" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["attack", "build-trajectory"])
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_bad_pedal_idle_tolerance_exits_before_any_output(
+    pipeline, tmp_path, capsys, command, tol
+):
+    out = ["--out-dir" if command == "attack" else "--out", str(tmp_path / "out")]
+    argv = [command, "--log", str(pipeline / "drive.csv"), "--graph", str(pipeline / "grid.json")]
+    assert main([*argv, *out, f"--pedal-idle-tol={tol}"]) == 2
+    assert "kind=BadOption" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert main([*argv, *out, "--pedal-idle-tol=0"]) == 0
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("attack", {"k": 2.7}),
+        ("attack", {"k": True}),
+        ("attack", {"max-candidates": 100000.0}),
+        ("make-grid", {"n": 6.0}),
+        ("make-grid", {"seed": False}),
+        ("simulate", {"q": 5.5}),
+        ("sweep", {"trials": 2.0}),
+        ("sweep", {"workers": True}),
+        ("sweep", {"qs": [5, 10.5]}),
+        ("sweep", {"ks": [True]}),
+    ],
+)
+def test_config_integer_option_rejects_floats_and_booleans(tmp_path, capsys, command, config):
+    # the input does not exist, so reading it first would fail as FileNotFoundError
+    missing, out = str(tmp_path / "missing"), str(tmp_path / "out")
+    argv = {
+        "attack": ["--log", missing, "--graph", missing, "--out-dir", out],
+        "make-grid": ["--out", out],
+        "simulate": ["--graph", missing, "--out-log", out, "--out-truth", out],
+        "sweep": ["--out", out],
+    }[command]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, *argv, "--config", str(cfg)]) == 2
+    assert "kind=BadOption" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_integer_option_takes_what_its_flag_takes(pipeline, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k": "2", "max-candidates": 100000}))
+    out = tmp_path / "out"
+    argv = ["attack", "--log", str(pipeline / "drive.csv"), "--graph", str(pipeline / "grid.json")]
+    assert main([*argv, "--out-dir", str(out), "--config", str(cfg)]) == 0
+    doc = json.loads((out / "result.json").read_text())
+    assert doc["config"]["k"] == 2
+    assert len(doc["candidates"]) == 2
 
 
 @pytest.mark.parametrize(

@@ -1,30 +1,30 @@
 """Matcher tests: admission, escalation, ranking, oracle equivalence."""
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
 
 from canmatch import _kernels
-from canmatch.errors import OracleTooLarge, TrajectoryTooShort, Truncated
+from canmatch.errors import OracleTooLarge, TrajectoryTooShort
 from canmatch.matcher import (
     DEFAULT_SIGMA_LADDER,
     AttackResult,
     CandidatePath,
     MatchConfig,
     brute_force_match,
-    match_paths,
     result_from_dict,
     result_to_geojson,
     run_attack,
-    top_k,
 )
 from canmatch.roadnet import RoadEdge, RoadGraph, RoadNode
 from canmatch.simulate import make_synthetic_grid
 from helpers import (
+    all_matches,
     equator_node,
     graph_of,
     line_graph,
@@ -52,7 +52,10 @@ def test_config_defaults_valid():
 
 @pytest.mark.parametrize(
     "ladder",
-    [(), (0.1, 0.05), (0.1, 0.1), (0.0, 0.1), (-0.05,), (0.5, 1.2)],
+    [
+        (), (0.1, 0.05), (0.1, 0.1), (0.0, 0.1), (-0.05,), (0.5, 1.2),
+        (math.nan,), (0.05, math.nan),
+    ],
 )
 def test_config_rejects_bad_ladder(ladder):
     with pytest.raises(ValueError):
@@ -66,12 +69,12 @@ def test_config_rejects_bad_counts():
         MatchConfig(max_candidates=0)
 
 
-# --- admission (match_paths)
+# --- admission (one rung, nothing cut)
 
 
 def test_triangle_single_edge_two_candidates():
     g = triangle_graph(100.0, 103.0, 200.0)
-    cands = match_paths(g, traj_of([100.0]), 0.05)
+    cands = all_matches(g, traj_of([100.0]), 0.05)
     assert _ids(cands) == [("x", "y"), ("y", "z")]
     assert _ids(brute_force_match(g, traj_of([100.0]), 0.05)) == _ids(cands)
 
@@ -79,14 +82,14 @@ def test_triangle_single_edge_two_candidates():
 def test_tolerance_is_road_relative():
     # bound is sigma * road length, not sigma * trajectory weight
     g_long, _ = line_graph([105.1])
-    assert len(match_paths(g_long, traj_of([100.0]), 0.05)) == 1
+    assert len(all_matches(g_long, traj_of([100.0]), 0.05)) == 1
     g_short, _ = line_graph([100.0])
-    assert len(match_paths(g_short, traj_of([105.1]), 0.05)) == 0
+    assert len(all_matches(g_short, traj_of([105.1]), 0.05)) == 0
 
 
 def test_trajectory_longer_than_any_simple_path():
     g, _ = line_graph([100.0, 100.0])
-    assert match_paths(g, traj_of([100.0] * 5), 0.5) == []
+    assert all_matches(g, traj_of([100.0] * 5), 0.5) == []
 
 
 @pytest.mark.parametrize("reuse", [False, True])
@@ -102,7 +105,7 @@ def test_kernel_query_with_more_nodes_than_the_map(extra, reuse):
 
 def test_empty_graph_matches_nothing():
     g = graph_of([], [])
-    assert match_paths(g, traj_of([100.0]), 0.05) == []
+    assert all_matches(g, traj_of([100.0]), 0.05) == []
     assert brute_force_match(g, traj_of([100.0]), 0.05) == []
 
 
@@ -110,7 +113,7 @@ def test_sigma_must_be_positive():
     g = triangle_graph()
     for bad in (0.0, -0.1):
         with pytest.raises(ValueError):
-            match_paths(g, traj_of([100.0]), bad)
+            all_matches(g, traj_of([100.0]), bad)
         with pytest.raises(ValueError):
             brute_force_match(g, traj_of([100.0]), bad)
 
@@ -118,21 +121,21 @@ def test_sigma_must_be_positive():
 def test_trajectory_needs_an_edge():
     g = triangle_graph()
     with pytest.raises(TrajectoryTooShort):
-        match_paths(g, traj_of([]), 0.05)
+        all_matches(g, traj_of([]), 0.05)
 
 
-def test_truncation_warns_and_flags():
+def test_truncation_flags_the_result():
     g, _ = line_graph([100.0, 100.0, 100.0])
-    with pytest.warns(Truncated):
-        cands = match_paths(g, traj_of([100.0]), 0.05, max_candidates=1)
-    assert len(cands) == 1
+    rung = run_attack(g, traj_of([100.0]), MatchConfig((0.05,), k=1, max_candidates=1))
+    assert rung.truncated
+    assert len(rung.candidates) == 1
     res = run_attack(g, traj_of([100.0]), MatchConfig(k=5, max_candidates=1))
     assert res.truncated
 
 
 def test_reversed_trajectory_stored_in_matching_orientation():
     g, _ = line_graph([100.0, 200.0, 300.0])
-    cands = match_paths(g, traj_of([300.0, 200.0, 100.0]), 0.01)
+    cands = all_matches(g, traj_of([300.0, 200.0, 100.0]), 0.01)
     assert len(cands) == 1
     assert cands[0].node_ids == ("n3", "n2", "n1", "n0")
     assert cands[0].theta_m == 0.0
@@ -141,7 +144,7 @@ def test_reversed_trajectory_stored_in_matching_orientation():
 
 def test_symmetric_weights_not_duplicated():
     g, _ = line_graph([100.0, 100.0, 100.0])
-    cands = match_paths(g, traj_of([100.0, 100.0]), 0.05)
+    cands = all_matches(g, traj_of([100.0, 100.0]), 0.05)
     keys = [min(c.node_ids, c.node_ids[::-1]) for c in cands]
     assert len(keys) == len(set(keys))
     assert _ids(cands) == _ids(brute_force_match(g, traj_of([100.0, 100.0]), 0.05))
@@ -157,8 +160,8 @@ def test_node_reuse_flag_admits_loops():
     ]
     g = graph_of(nodes, edges)
     wr = [100.0, 110.0, 120.0, 130.0]
-    assert match_paths(g, traj_of(wr), 0.01) == []
-    looped = match_paths(g, traj_of(wr), 0.01, allow_node_reuse=True)
+    assert all_matches(g, traj_of(wr), 0.01) == []
+    looped = all_matches(g, traj_of(wr), 0.01, allow_node_reuse=True)
     assert _ids(looped) == [("p0", "p1", "p2", "p3", "p1")]
     oracle = brute_force_match(g, traj_of(wr), 0.01, allow_node_reuse=True)
     assert _ids(oracle) == _ids(looped)
@@ -195,7 +198,7 @@ def test_candidate_sets_nest_along_ladder():
         for sigma in (0.05, 0.15, 0.50):
             keys = {
                 min(c.node_ids, c.node_ids[::-1])
-                for c in match_paths(g, traj_of(wr), sigma)
+                for c in all_matches(g, traj_of(wr), sigma)
             }
             assert prev <= keys
             prev = keys
@@ -212,35 +215,35 @@ def test_theta_examples():
         ([107.0], [100.0], 7.0),
     ):
         g, ids = line_graph(road)
-        (c,) = match_paths(g, traj_of(wr), 0.1)
+        (c,) = all_matches(g, traj_of(wr), 0.1)
         assert c.node_ids == tuple(ids)
         assert c.residuals_m == (theta,) * len(road)
         assert c.theta_m == theta
 
 
-def _cand(ids: tuple[str, ...], th: float) -> CandidatePath:
-    lens = tuple(100.0 for _ in range(len(ids) - 1))
-    return CandidatePath(ids, lens, lens, th, 0.05)
-
-
 def test_top_k_sorts_and_cuts():
-    cands = [_cand(("a", "b"), 5.0), _cand(("b", "c"), 0.0), _cand(("c", "d"), 9.0)]
-    res = top_k(cands, 2)
+    # in node-id order the thetas are 5, 0, 9
+    g, _ = line_graph([105.0, 100.0, 109.0])
+    cfg = MatchConfig((0.1,), k=2)
+    res = run_attack(g, traj_of([100.0]), cfg)
     assert [c.theta_m for c in res.candidates] == [0.0, 5.0]
-    assert len(top_k(cands, 10).candidates) == 3
+    res = run_attack(g, traj_of([100.0]), dataclasses.replace(cfg, k=10))
+    assert [c.theta_m for c in res.candidates] == [0.0, 5.0, 9.0]
 
 
 def test_top_k_breaks_ties_by_node_ids():
-    cands = [_cand(("z", "y"), 3.0), _cand(("a", "b"), 3.0)]
-    first = top_k(cands, 2).candidates
-    second = top_k(list(reversed(cands)), 2).candidates
-    assert [c.node_ids for c in first] == [("a", "b"), ("z", "y")]
-    assert first == second
+    # every edge ties at theta 0, and the ids run against the line's order
+    names = ["e", "d", "c", "b", "a"]
+    nodes = [equator_node(n, 100.0 * i) for i, n in enumerate(names)]
+    edges = [RoadEdge(u, v, 100.0) for u, v in zip(names, names[1:])]
+    res = run_attack(graph_of(nodes, edges), traj_of([100.0]), MatchConfig(k=3))
+    assert [c.node_ids for c in res.candidates] == [("a", "b"), ("b", "c"), ("c", "d")]
 
 
-def test_top_k_rejects_k_below_one():
+def test_replaced_config_rejects_k_below_one():
+    # sweep derives each cell's config this way
     with pytest.raises(ValueError):
-        top_k([], 0)
+        dataclasses.replace(MatchConfig(), k=0)
 
 
 def test_self_match_ranks_first():
@@ -253,11 +256,11 @@ def test_self_match_ranks_first():
             continue
         done += 1
         traj = traj_of(path_weights(g, path))
-        cands = match_paths(g, traj, 0.01)
+        cands = all_matches(g, traj, 0.01)
         key = min(tuple(path), tuple(reversed(path)))
         selves = [c for c in cands if min(c.node_ids, c.node_ids[::-1]) == key]
         assert len(selves) == 1 and selves[0].theta_m == 0.0
-        best = top_k(cands, 1).candidates[0]
+        best = run_attack(g, traj, MatchConfig((0.01,), k=1)).candidates[0]
         assert best.theta_m == 0.0
 
 
@@ -279,7 +282,7 @@ def test_matches_brute_force_on_random_instances():
             )
         else:
             wr = rng.uniform(50.0, 600.0, size=n_edges)
-        fast = match_paths(g, traj_of(list(wr)), sigma)
+        fast = all_matches(g, traj_of(list(wr)), sigma)
         slow = brute_force_match(g, traj_of(list(wr)), sigma)
         assert [c.node_ids for c in fast] == [c.node_ids for c in slow]
         for a, b in zip(fast, slow):
@@ -374,7 +377,7 @@ def _tied_graph(rng: np.random.Generator) -> RoadGraph:
 
 def test_run_attack_ranks_like_top_k_over_the_full_list():
     rng = np.random.default_rng(59)
-    tied = truncated = 0
+    tied = truncated = oracled = 0
     for _ in range(60):
         g = _tied_graph(rng)
         wr = list(rng.choice([100.0, 110.0, 120.0], size=int(rng.integers(1, 5))))
@@ -385,22 +388,25 @@ def test_run_attack_ranks_like_top_k_over_the_full_list():
         )
         res = run_attack(g, traj_of(wr), cfg)
         # reference: climb the ladder one rung at a time, rank the full list
+        cap = cfg.max_candidates
         for sigma in cfg.sigma_ladder:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                full = match_paths(
-                    g, traj_of(wr), sigma, max_candidates=cfg.max_candidates
-                )
-            if len(full) >= cfg.k:
+            rung = run_attack(g, traj_of(wr), MatchConfig((sigma,), k=cap, max_candidates=cap))
+            if len(rung.candidates) >= cfg.k:
                 break
-        ref = top_k(full, cfg.k)
-        assert res.candidates == ref.candidates
+        by_rank = lambda c: (c.theta_m, c.node_ids)
+        assert res.candidates == sorted(rung.candidates, key=by_rank)[: cfg.k]
         assert res.sigma_used == sigma
-        assert res.truncated == any(w.category is Truncated for w in caught)
+        assert res.truncated == rung.truncated
+        if cap == 100_000:
+            # and against the exhaustive oracle, field by field
+            assert not res.truncated
+            oracle = brute_force_match(g, traj_of(wr), sigma)
+            assert res.candidates == sorted(oracle, key=by_rank)[: cfg.k]
+            oracled += 1
         thetas = [c.theta_m for c in res.candidates]
         tied += len(set(thetas)) < len(thetas)
         truncated += res.truncated
-    assert tied > 0 and truncated > 0
+    assert tied > 0 and truncated > 0 and oracled > 0
 
 
 # --- search kernel

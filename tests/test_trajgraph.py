@@ -6,6 +6,7 @@ import pytest
 
 from canmatch.canlog import CanLog, PedalSeries, SpeedSeries
 from canmatch.errors import (
+    BadOption,
     DegenerateClusters,
     InsufficientData,
     NoCandidates,
@@ -85,6 +86,14 @@ def test_pedal_tolerance_is_configurable():
     series = _pedal([0.0, 0.1, 0.2], [14.0, 15.0, 30.0])
     assert candidate_points(series).size == 1
     assert candidate_points(series, pedal_idle_tol=1.5).size == 2
+
+
+@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+def test_pedal_tolerance_must_be_finite_and_non_negative(tol):
+    series = _pedal([0.0, 0.1, 0.2], [14.0, 15.0, 30.0])
+    with pytest.raises(BadOption):
+        candidate_points(series, pedal_idle_tol=tol)
+    assert candidate_points(series, pedal_idle_tol=0.0).size == 1
 
 
 # --- gaps and threshold
