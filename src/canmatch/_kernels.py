@@ -20,8 +20,9 @@ the test compares the new nodes with one column of the block at a time,
 and builds the extended rows only for the nodes that pass. The extended
 rows go back as blocks, first block on top. Complete paths therefore come
 out in exactly the order a depth-first search from node 0 upward finds
-them. The stack holds what is left of at most one expanded block per
-depth, so memory stays bounded however many paths match.
+them, and each block of them is appended to the caller's list. The stack
+holds what is left of at most one expanded block per depth, so the search
+itself stays bounded in memory however many paths match.
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ def enumerate_matches(indptr, nbrs, lens, wr, sigma, max_count, allow_reuse, out
     """Enumerate paths whose edge lengths match wr within sigma, as start node + slots.
 
     A path extends along an edge of length w at depth d only when
-    |w - wr[d]| <= sigma*w. Each complete path (len(wr)+1 nodes) is written
-    into out as its start node followed by the len(wr) CSR slots it took,
-    flat and in depth-first order. Returns (count, truncated); when more
-    than max_count paths exist, out holds the first max_count.
+    |w - wr[d]| <= sigma*w. Complete paths are appended to the list out as
+    int64 blocks of shape (m, len(wr)+1) in depth-first order, a row being
+    the start node and then the len(wr) CSR slots taken. Returns (count,
+    truncated); when more than max_count paths exist, the last block is cut
+    so that out holds the first max_count.
 
     Without node reuse, a path of more nodes than the graph has cannot
     exist, and the search returns (0, False) at once. Otherwise a backward
@@ -92,10 +94,10 @@ def enumerate_matches(indptr, nbrs, lens, wr, sigma, max_count, allow_reuse, out
                 for i in reversed(range(0, s.size, BLOCK_ROWS))
             )
         elif count + s.size > max_count:
-            out[count * q : max_count * q] = child[: max_count - count].ravel()
+            out.append(child[: max_count - count])
             return max_count, True
         else:
-            out[count * q : (count + s.size) * q] = child.ravel()
+            out.append(child)
             count += s.size
     return count, False
 

@@ -86,7 +86,14 @@ def _int(value) -> int:
     return int(value)
 
 
-_floats, _ints = _tuple_of(float), _tuple_of(_int)
+def _float(value) -> float:
+    """A float option's value: the flag's text, or a config file's number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise TypeError(f"a float option takes a number, not {value!r}")
+    return float(value)
+
+
+_floats, _ints = _tuple_of(_float), _tuple_of(_int)
 
 
 def _switch(value) -> bool:
@@ -101,33 +108,33 @@ def _switch(value) -> bool:
 _OPTIONS = {
     "bbox": (_floats, {"help": "lat,lon,side_km square window"}),
     "n": (_int, {}),
-    "spacing-m": (float, {}),
-    "jitter": (float, {}),
+    "spacing-m": (_float, {}),
+    "jitter": (_float, {}),
     "seed": (_int, {}),
     "origin": (_floats, {"help": "lat,lon of grid corner"}),
     "q": (_int, {}),
-    "cruise-mps": (float, {}),
-    "sample-period-s": (float, {}),
+    "cruise-mps": (_float, {}),
+    "sample-period-s": (_float, {}),
     "dwell-s": (_floats, {"help": "lo,hi stop dwell seconds"}),
-    "turn-slowdown": (float, {}),
-    "turn-window-s": (float, {}),
-    "pedal-idle": (float, {}),
-    "pedal-cruise": (float, {}),
-    "noise-std": (float, {"help": "speed noise stdev, m/s"}),
-    "stop-offset-m": (float, {}),
+    "turn-slowdown": (_float, {}),
+    "turn-window-s": (_float, {}),
+    "pedal-idle": (_float, {}),
+    "pedal-cruise": (_float, {}),
+    "noise-std": (_float, {"help": "speed noise stdev, m/s"}),
+    "stop-offset-m": (_float, {}),
     "event-pattern": (str, {"choices": simulate.EVENT_PATTERNS}),
     "k": (_int, {}),
     "sigma-ladder": (_floats, {"help": "comma-separated ascending fractions"}),
     "max-candidates": (_int, {}),
     "allow-node-reuse": (_switch, None),
-    "pedal-idle-tol": (float, {}),
+    "pedal-idle-tol": (_float, {}),
     "include-first-event": (_switch, {"action": "store_const", "const": True}),
     "sides-km": (_floats, {"help": "comma-separated map sizes"}),
     "qs": (_ints, {"help": "comma-separated route lengths"}),
     "ks": (_ints, {"help": "comma-separated top-K values"}),
     "trials": (_int, {}),
     "workers": (_int, {}),
-    "grid-jitter": (float, {}),
+    "grid-jitter": (_float, {}),
 }
 
 # the options each library entry point takes
@@ -170,10 +177,10 @@ def _options(args) -> dict:
 
 @contextlib.contextmanager
 def _option_values(name: str = "option"):
-    """Raise BadOption for a TypeError or ValueError of values built from options."""
+    """Raise BadOption for a type, value or overflow error of values built from options."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise BadOption(f"bad {name} value: {exc}") from exc
 
 
@@ -187,8 +194,8 @@ def _given(opts: dict, *names: str) -> dict:
 
 def cmd_ingest_osm(args, opts) -> int:
     bbox = opts.get("bbox")
-    if bbox is not None and (len(bbox) != 3 or not 0 < bbox[2] < math.inf):
-        raise BadOption("bbox must be lat,lon,side_km with a positive, finite side_km")
+    if bbox is not None and not (len(bbox) == 3 and all(map(math.isfinite, bbox)) and bbox[2] > 0):
+        raise BadOption("bbox must be lat,lon,side_km: finite, with a positive side_km")
     t0 = time.monotonic()
     g = roadnet.read_osm_xml(args.infile)
     _log("ingest_osm", nodes=len(g.ids), edges=g.edge_count)
@@ -433,10 +440,6 @@ _COMMANDS = {
     ),
 }
 
-# (command, option) flags that --help lists without their help line
-_BARE = {("sweep", "sigma-ladder")}
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="canmatch",
@@ -451,8 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
         for name in names:
             flag = _OPTIONS[name][1]
             if flag is not None:
-                bare = (command, name) in _BARE
-                p.add_argument(f"--{name}", **(dict(flag, help=None) if bare else flag))
+                p.add_argument(f"--{name}", **flag)
         p.add_argument("--config", help="JSON file of option defaults")
         p.set_defaults(func=func, options=names)
     return ap

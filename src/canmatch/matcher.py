@@ -12,7 +12,6 @@ rung's k best rows.
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -139,31 +138,33 @@ def _dedup_orientations(paths: np.ndarray, thetas: np.ndarray) -> np.ndarray:
 
 
 class _Rung(NamedTuple):
-    """One sigma rung's deduplicated matches as row-aligned arrays, in node-id order."""
+    """One sigma rung's deduplicated kernel rows and their thetas, in node-id order."""
 
-    ids: tuple[str, ...]
-    paths: np.ndarray  # (count, q) node indices into ids
-    lens: np.ndarray  # (count, q-1) road edge lengths
-    residuals: np.ndarray  # (count, q-1) |lens - wr|
+    g: RoadGraph
+    wr: np.ndarray  # (q-1,) trajectory edge weights
+    rows: np.ndarray  # (count, q) start node, then the CSR slot of each edge
     thetas: np.ndarray  # (count,)
     sigma: float
     truncated: bool
 
-    def candidates(self, rows) -> list[CandidatePath]:
-        ids = self.ids
+    def candidates(self, picked) -> list[CandidatePath]:
+        """The picked rows as candidates: only these get node ids, lengths and residuals."""
+        g, rows = self.g, self.rows[picked]
+        paths = np.concatenate((rows[:, :1], g.nbrs[rows[:, 1:]]), axis=1)
+        lens = g.lens[rows[:, 1:]]
         return [
             CandidatePath(
-                node_ids=tuple(ids[i] for i in p),
-                edge_lengths_m=tuple(lens),
+                node_ids=tuple(g.ids[i] for i in p),
+                edge_lengths_m=tuple(ls),
                 residuals_m=tuple(res),
                 theta_m=th,
                 sigma_used=self.sigma,
             )
-            for p, lens, res, th in zip(
-                self.paths[rows].tolist(),
-                self.lens[rows].tolist(),
-                self.residuals[rows].tolist(),
-                self.thetas[rows].tolist(),
+            for p, ls, res, th in zip(
+                paths.tolist(),
+                lens.tolist(),
+                np.abs(lens - self.wr).tolist(),
+                self.thetas[picked].tolist(),
             )
         ]
 
@@ -173,36 +174,22 @@ def _match_info(
 ) -> _Rung:
     wr = _edge_weights(traj)
     q = wr.size + 1
-    nbytes = max_candidates * q * 8
-    # An anonymous mapping commits only the pages the kernel writes and goes
-    # back to the OS when freed; a malloc'd buffer this size can stay resident.
+    found = []
     try:
-        buf = mmap.mmap(-1, nbytes)
-        out = np.frombuffer(buf, dtype=np.int64)
-        count, truncated = _kernels.enumerate_matches(
-            g.indptr, g.nbrs, g.lens, wr, float(sigma), max_candidates, allow_node_reuse, out
+        _, truncated = _kernels.enumerate_matches(
+            g.indptr, g.nbrs, g.lens, wr, float(sigma), max_candidates, allow_node_reuse, found
         )
-        rows = out[: count * q].reshape(count, q)
+        rows = np.concatenate(found) if found else np.empty((0, q), dtype=np.int64)
+        found.clear()  # rows holds a copy; free the blocks before scoring
+        thetas = np.abs(g.lens[rows[:, 1:]] - wr).sum(axis=1) / wr.size
         paths = np.concatenate((rows[:, :1], g.nbrs[rows[:, 1:]]), axis=1)
-        edge_lens = g.lens[rows[:, 1:]]
-        residuals = np.abs(edge_lens - wr)
-        thetas = residuals.sum(axis=1) / wr.size
         keep = _dedup_orientations(paths, thetas)
-    except (OverflowError, OSError, MemoryError) as exc:
+    except MemoryError as exc:
         raise BadOption(
-            f"--max-candidates {max_candidates} at q={q} needs a {nbytes}-byte "
-            f"path buffer and the candidate arrays built from it, which do not "
+            f"--max-candidates {max_candidates} at q={q}: the candidates do not "
             f"fit in memory: {exc or type(exc).__name__}"
         ) from None
-    return _Rung(
-        g.ids,
-        paths[keep],
-        edge_lens[keep],
-        residuals[keep],
-        thetas[keep],
-        sigma,
-        bool(truncated),
-    )
+    return _Rung(g, wr, rows[keep], thetas[keep], sigma, bool(truncated))
 
 
 def top_k(rung: _Rung, k: int) -> list[CandidatePath]:

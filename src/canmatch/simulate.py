@@ -9,6 +9,7 @@ speed noise. Logs start mid-edge with the vehicle already moving.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,24 +50,28 @@ class DriveProfile:
     seed: int = 0
 
     def __post_init__(self):
-        if self.cruise_speed_mps <= 0 or self.sample_period_s <= 0:
-            raise ValueError("cruise speed and sample period must be positive")
+        if not (0 < self.cruise_speed_mps < math.inf and 0 < self.sample_period_s < math.inf):
+            raise ValueError("cruise speed and sample period must be positive and finite")
         lo, hi = self.stop_dwell_s
-        if not 0 < lo <= hi:
-            raise ValueError("stop_dwell_s must be a positive (low, high) range")
+        if not 0 < lo <= hi < math.inf:
+            raise ValueError("stop_dwell_s must be a positive, finite (low, high) range")
         if not 0 < self.turn_slowdown < 1:
             raise ValueError("turn_slowdown must lie in (0, 1)")
-        if self.turn_window_s < 2 * self.sample_period_s:
-            raise ValueError("turn_window_s must cover at least 2 samples")
-        if self.pedal_cruise <= self.pedal_idle + 2.0:
-            raise ValueError("pedal_cruise must sit clearly above pedal_idle")
-        if self.speed_noise_std < 0 or self.stop_offset_m < 0:
-            raise ValueError("noise and offset must be non-negative")
+        if not 2 * self.sample_period_s <= self.turn_window_s < math.inf:
+            raise ValueError("turn_window_s must be finite and cover at least 2 samples")
+        idle, cruise = self.pedal_idle, self.pedal_cruise
+        if not (-math.inf < idle and idle + 2.0 < cruise < math.inf):
+            raise ValueError("pedal levels must be finite, pedal_cruise clearly above pedal_idle")
+        if not (0 <= self.speed_noise_std < math.inf and 0 <= self.stop_offset_m < math.inf):
+            raise ValueError("noise and offset must be non-negative and finite")
         if self.event_pattern not in EVENT_PATTERNS:
             raise ValueError(f"event_pattern must be one of {EVENT_PATTERNS}")
         turn_travel = self.turn_slowdown * self.cruise_speed_mps * self.turn_window_s
-        if self.lead_in_m <= self.stop_offset_m + turn_travel + self.cruise_speed_mps:
-            raise ValueError("lead_in_m too short for the first event")
+        first_event = self.stop_offset_m + turn_travel + self.cruise_speed_mps
+        if not first_event < self.lead_in_m < math.inf:
+            raise ValueError("lead_in_m must be finite and long enough for the first event")
+        if not -math.inf < self.tail_m < math.inf:
+            raise ValueError("tail_m must be finite")
 
 
 @dataclass(frozen=True)

@@ -398,6 +398,23 @@ def test_bad_pedal_idle_tolerance_exits_before_any_output(
     assert main([*argv, *out, "--pedal-idle-tol=0"]) == 0
 
 
+def _assert_config_exits_bad_option(tmp_path, capsys, command: str, config: dict) -> None:
+    """command with config exits 2 with BadOption before reading input or writing output."""
+    # the input does not exist, so reading it first would fail as FileNotFoundError
+    missing, out = str(tmp_path / "missing"), str(tmp_path / "out")
+    argv = {
+        "attack": ["--log", missing, "--graph", missing, "--out-dir", out],
+        "make-grid": ["--out", out],
+        "simulate": ["--graph", missing, "--out-log", out, "--out-truth", out],
+        "sweep": ["--out", out],
+    }[command]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, *argv, "--config", str(cfg)]) == 2
+    assert "kind=BadOption" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "command, config",
     [
@@ -414,19 +431,35 @@ def test_bad_pedal_idle_tolerance_exits_before_any_output(
     ],
 )
 def test_config_integer_option_rejects_floats_and_booleans(tmp_path, capsys, command, config):
-    # the input does not exist, so reading it first would fail as FileNotFoundError
-    missing, out = str(tmp_path / "missing"), str(tmp_path / "out")
-    argv = {
-        "attack": ["--log", missing, "--graph", missing, "--out-dir", out],
-        "make-grid": ["--out", out],
-        "simulate": ["--graph", missing, "--out-log", out, "--out-truth", out],
-        "sweep": ["--out", out],
-    }[command]
+    _assert_config_exits_bad_option(tmp_path, capsys, command, config)
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("attack", {"sigma-ladder": [True]}),
+        ("attack", {"pedal-idle-tol": False}),
+        ("make-grid", {"spacing-m": True, "jitter": False}),
+        ("make-grid", {"jitter": False}),
+        ("make-grid", {"origin": [0, True]}),
+        ("make-grid", {"spacing-m": 10**400}),
+        ("simulate", {"noise-std": False}),
+        ("simulate", {"dwell-s": [True, 8]}),
+        ("sweep", {"sides-km": [True]}),
+        ("sweep", {"grid-jitter": False}),
+    ],
+)
+def test_config_float_option_rejects_booleans(tmp_path, capsys, command, config):
+    _assert_config_exits_bad_option(tmp_path, capsys, command, config)
+
+
+def test_config_float_option_takes_what_its_flag_takes(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    assert main([command, *argv, "--config", str(cfg)]) == 2
-    assert "kind=BadOption" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    cfg.write_text(json.dumps({"spacing-m": 250, "jitter": "0.1", "origin": ["1.5", 2]}))
+    assert main(["make-grid", "--out", str(tmp_path / "cfg.out"), "--config", str(cfg)]) == 0
+    flags = ["--spacing-m", "250", "--jitter", "0.1", "--origin", "1.5,2"]
+    assert main(["make-grid", "--out", str(tmp_path / "flags.out"), *flags]) == 0
+    assert (tmp_path / "cfg.out").read_bytes() == (tmp_path / "flags.out").read_bytes()
 
 
 def test_config_integer_option_takes_what_its_flag_takes(pipeline, tmp_path):
@@ -449,9 +482,21 @@ def test_config_integer_option_takes_what_its_flag_takes(pipeline, tmp_path):
         ("simulate", "--q 1"),
         ("simulate", "--cruise-mps -1"),
         ("simulate", "--dwell-s 1,2,3"),
+        ("simulate", "--pedal-idle nan"),
+        ("simulate", "--pedal-cruise inf"),
+        ("simulate", "--noise-std nan"),
+        ("simulate", "--stop-offset-m nan"),
+        ("simulate", "--cruise-mps nan"),
+        ("simulate", "--sample-period-s nan"),
+        ("simulate", "--turn-window-s nan"),
+        ("simulate", "--dwell-s 1,inf"),
         ("ingest-osm", "--bbox 0,0,0"),
         ("ingest-osm", "--bbox 1,2"),
+        ("ingest-osm", "--bbox=nan,0,5"),
+        ("ingest-osm", "--bbox=0,inf,5"),
         ("sweep", "--grid-jitter 0.7"),
+        ("sweep", "--pedal-idle nan"),
+        ("sweep", "--dwell-s 1,inf"),
     ],
 )
 def test_bad_option_values_exit_before_any_input_is_read(tmp_path, capsys, command, option):
@@ -521,35 +566,19 @@ def test_attack_on_truncated_gz_log_exits_input_error(pipeline, tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
-def _attack_with_max_candidates(pipeline, tmp_path, capsys, value: str) -> str:
-    """Attack the shared scenario with --max-candidates value; return stderr."""
+def test_attack_with_a_cap_larger_than_memory_exits_ok(pipeline, tmp_path):
+    # no buffer is sized by the cap, so a cap no memory could hold runs
+    # like the default wherever no rung truncates
     argv = ["attack", "--log", str(pipeline / "drive.csv"), "--graph", str(pipeline / "grid.json")]
-    argv += ["--out-dir", str(tmp_path / "out"), "--max-candidates", value]
-    assert main(argv) == 2
-    assert not (tmp_path / "out").exists()
-    err = capsys.readouterr().err
-    assert "kind=BadOption" in err
-    return err
-
-
-def test_attack_with_a_path_buffer_too_large_to_map_exits_bad_option(
-    pipeline, tmp_path, capsys
-):
-    n = 10**20
-    err = _attack_with_max_candidates(pipeline, tmp_path, capsys, str(n))
-    assert f"--max-candidates {n} at q=6 needs a {n * 6 * 8}-byte path buffer" in err
-
-
-def test_attack_whose_path_buffer_mapping_fails_exits_bad_option(
-    pipeline, tmp_path, capsys, monkeypatch
-):
-    def refuse(fileno, length):
-        raise OSError(12, "Cannot allocate memory")
-
-    monkeypatch.setattr(matcher.mmap, "mmap", refuse)
-    err = _attack_with_max_candidates(pipeline, tmp_path, capsys, "1000")
-    assert "--max-candidates 1000 at q=6 needs a 48000-byte path buffer" in err
-    assert "Cannot allocate memory" in err
+    huge = str(10**20)
+    assert main([*argv, "--out-dir", str(tmp_path / "default")]) == 0
+    assert main([*argv, "--out-dir", str(tmp_path / "huge"), "--max-candidates", huge]) == 0
+    read = lambda run, name: (tmp_path / run / name).read_text()
+    assert read("huge", "candidates.geojson") == read("default", "candidates.geojson")
+    default, got = (json.loads(read(run, "result.json")) for run in ("default", "huge"))
+    assert got["config"].pop("max_candidates") == 10**20
+    del default["config"]["max_candidates"]
+    assert got == default
 
 
 @pytest.mark.parametrize(
@@ -562,8 +591,13 @@ def test_attack_that_runs_out_of_memory_while_matching_exits_bad_option(
         raise MemoryError("Unable to allocate 45.0 MiB")
 
     monkeypatch.setattr(module, name, exhaust)
-    err = _attack_with_max_candidates(pipeline, tmp_path, capsys, "1000")
-    assert "--max-candidates 1000 at q=6 needs a 48000-byte path buffer" in err
+    argv = ["attack", "--log", str(pipeline / "drive.csv"), "--graph", str(pipeline / "grid.json")]
+    argv += ["--out-dir", str(tmp_path / "out"), "--max-candidates", "1000"]
+    assert main(argv) == 2
+    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert "kind=BadOption" in err
+    assert "--max-candidates 1000 at q=6" in err
     assert "Unable to allocate 45.0 MiB" in err
 
 

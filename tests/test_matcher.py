@@ -133,6 +133,18 @@ def test_truncation_flags_the_result():
     assert res.truncated
 
 
+def test_cap_larger_than_memory_gives_the_default_result():
+    # nothing is sized by the cap, so a cap no memory could hold is no error
+    g = make_synthetic_grid(6, 300.0, 0.1, seed=3)
+    wr = path_weights(g, some_path(g, 7, np.random.default_rng(3)))
+    want = run_attack(g, traj_of(wr), MatchConfig(max_candidates=100_000))
+    got = run_attack(g, traj_of(wr), MatchConfig(max_candidates=10**18))
+    assert want.candidates
+    assert (got.candidates, got.sigma_used, got.truncated) == (
+        want.candidates, want.sigma_used, want.truncated
+    )
+
+
 def test_reversed_trajectory_stored_in_matching_orientation():
     g, _ = line_graph([100.0, 200.0, 300.0])
     cands = all_matches(g, traj_of([300.0, 200.0, 100.0]), 0.01)
@@ -426,13 +438,14 @@ def _assert_kernel_equals_reference(indptr, nbrs, lens, wr, sigma, reuse) -> int
     )
     for cap in (1, 37, exact, 100_000):
         want_out = np.empty(cap * q, dtype=np.int64)
-        got_out = np.empty(cap * q, dtype=np.int64)
+        found = []
         want = reference_enumerate(*args, cap, reuse, want_out)
-        got = _kernels.enumerate_matches(*args, cap, reuse, got_out)
+        got = _kernels.enumerate_matches(*args, cap, reuse, found)
         assert got == want
         count = want[0]
         # a row is the start node, then the CSR slot of each edge taken
-        rows = got_out[: count * q].reshape(count, q)
+        rows = np.concatenate(found) if found else np.empty((0, q), dtype=np.int64)
+        assert rows.shape == (count, q) and rows.dtype == np.int64
         slots = rows[:, 1:]
         nodes = np.concatenate((rows[:, :1], nbrs[slots]), axis=1)
         assert np.array_equal(nodes.ravel(), want_out[: count * q])
@@ -515,12 +528,14 @@ def test_hostile_query_stops_at_the_cap_in_bounded_memory():
     indptr, nbrs, lens = g.indptr, g.nbrs, g.lens
     wr = np.full(14, 300.0)
     cap = 100_000
-    out = np.empty(cap * 15, dtype=np.int64)
+    found = []
     tracemalloc.start()
     try:
-        got = _kernels.enumerate_matches(indptr, nbrs, lens, wr, 0.5, cap, False, out)
+        got = _kernels.enumerate_matches(indptr, nbrs, lens, wr, 0.5, cap, False, found)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert got == (100_000, True)
+    assert np.concatenate(found).shape == (100_000, 15)
+    # the found rows count too: tracemalloc sees every block appended
     assert peak < 256 * 2**20

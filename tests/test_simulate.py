@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -54,6 +55,25 @@ def test_profile_defaults_valid():
         {"stop_offset_m": -1.0},
         {"event_pattern": "weave"},
         {"lead_in_m": 10.0},
+        # non-finite values
+        {"cruise_speed_mps": math.nan},
+        {"cruise_speed_mps": math.inf},
+        {"sample_period_s": math.nan},
+        {"stop_dwell_s": (1.0, math.inf)},
+        {"stop_dwell_s": (math.nan, 5.0)},
+        {"turn_slowdown": math.nan},
+        {"turn_window_s": math.nan},
+        {"turn_window_s": math.inf},
+        {"pedal_idle": math.nan},
+        {"pedal_idle": -math.inf},
+        {"pedal_cruise": math.inf},
+        {"speed_noise_std": math.nan},
+        {"speed_noise_std": math.inf},
+        {"stop_offset_m": math.nan},
+        {"lead_in_m": math.nan},
+        {"lead_in_m": math.inf},
+        {"tail_m": math.nan},
+        {"tail_m": math.inf},
     ],
 )
 def test_profile_rejects_bad_values(kwargs):
