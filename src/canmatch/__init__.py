@@ -12,7 +12,6 @@ from .matcher import (
     AttackResult,
     CandidatePath,
     MatchConfig,
-    brute_force_match,
     result_from_dict,
     result_to_geojson,
     run_attack,
@@ -36,7 +35,6 @@ __all__ = [
     "SimScenario",
     "TrajectoryGraph",
     "bbox_filter",
-    "brute_force_match",
     "build_trajectory",
     "evaluate",
     "load_graph",

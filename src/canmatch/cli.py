@@ -97,7 +97,7 @@ _floats, _ints = _tuple_of(_float), _tuple_of(_int)
 
 
 def _switch(value) -> bool:
-    """A switch's value: the flag's True, or a config file's true or false."""
+    """A switch's value: a config file's true or false."""
     if not isinstance(value, bool):
         raise TypeError(f"a switch takes true or false, not {value!r}")
     return value
@@ -128,7 +128,6 @@ _OPTIONS = {
     "max-candidates": (_int, {}),
     "allow-node-reuse": (_switch, None),
     "pedal-idle-tol": (_float, {}),
-    "include-first-event": (_switch, {"action": "store_const", "const": True}),
     "sides-km": (_floats, {"help": "comma-separated map sizes"}),
     "qs": (_ints, {"help": "comma-separated route lengths"}),
     "ks": (_ints, {"help": "comma-separated top-K values"}),
@@ -143,7 +142,7 @@ _PROFILE = (
     "pedal-idle", "pedal-cruise", "noise-std", "stop-offset-m", "event-pattern",
 )
 _MATCH = ("k", "sigma-ladder", "max-candidates", "allow-node-reuse")
-_TRAJECTORY = ("pedal-idle-tol", "include-first-event")
+_TRAJECTORY = ("pedal-idle-tol",)
 
 # library keywords not spelled like their option
 _KEYWORDS = {

@@ -83,10 +83,6 @@ class TrajectoryTooShort(NothingProduced):
     """The trajectory has no edges to match."""
 
 
-class OracleTooLarge(CanMatchError):
-    """The graph exceeds what the exhaustive reference matcher will accept."""
-
-
 # --- simulation ---
 
 class NoSuchPath(NothingProduced):

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .errors import BadOption, OracleTooLarge, TrajectoryTooShort
+from .errors import BadOption, TrajectoryTooShort
 from .roadnet import RoadGraph
 from .trajgraph import TrajectoryGraph
 
@@ -217,72 +217,6 @@ def run_attack(g: RoadGraph, traj: TrajectoryGraph, config: MatchConfig) -> Atta
         if len(rung.thetas) >= config.k:
             break
     return AttackResult(top_k(rung, config.k), traj, config, rung.sigma, rung.truncated)
-
-
-def brute_force_match(
-    g: RoadGraph,
-    traj,
-    sigma: float,
-    *,
-    allow_node_reuse: bool = False,
-    node_limit: int = 200,
-) -> list[CandidatePath]:
-    """Reference matcher: enumerate every path, then filter.
-
-    Recursively walks the graph's CSR neighbour lists to list all paths
-    with the right node count, carrying each edge's length along, applies
-    the tolerance test afterwards, and dedups orientations. Exists to check
-    run_attack against; refuses graphs over node_limit.
-    """
-    if len(g.ids) > node_limit:
-        raise OracleTooLarge(f"{len(g.ids)} nodes exceeds limit {node_limit}")
-    wr = _edge_weights(traj)
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    q = wr.size + 1
-    ids = g.ids
-    indptr, nbrs, lens = g.indptr.tolist(), g.nbrs.tolist(), g.lens.tolist()
-
-    complete: list[tuple[tuple[int, ...], tuple[float, ...]]] = []
-    path: list[int] = []
-    walked: list[float] = []
-
-    def walk(u: int) -> None:
-        path.append(u)
-        if len(path) == q:
-            complete.append((tuple(path), tuple(walked)))
-        else:
-            for slot in range(indptr[u], indptr[u + 1]):
-                v = nbrs[slot]
-                if allow_node_reuse or v not in path:
-                    walked.append(lens[slot])
-                    walk(v)
-                    walked.pop()
-        path.pop()
-
-    for start in range(len(ids)):
-        walk(start)
-
-    # one candidate per undirected path: lower theta, then smaller node ids
-    best: dict[tuple[str, ...], CandidatePath] = {}
-    weights = wr.tolist()
-    for at, lengths in complete:
-        if not all(abs(l - w) <= sigma * l for l, w in zip(lengths, weights)):
-            continue
-        p = tuple(ids[i] for i in at)
-        residuals = np.abs(np.array(lengths) - wr)
-        c = CandidatePath(
-            node_ids=p,
-            edge_lengths_m=lengths,
-            residuals_m=tuple(float(x) for x in residuals),
-            theta_m=float(residuals.sum() / wr.size),
-            sigma_used=float(sigma),
-        )
-        key = min(p, p[::-1])
-        cur = best.get(key)
-        if cur is None or (c.theta_m, c.node_ids) < (cur.theta_m, cur.node_ids):
-            best[key] = c
-    return sorted(best.values(), key=lambda c: c.node_ids)
 
 
 def result_to_geojson(result: AttackResult, g: RoadGraph) -> dict:

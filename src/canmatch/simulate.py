@@ -92,7 +92,8 @@ def make_synthetic_grid(
     """An n-by-n lattice with jittered node positions.
 
     Each node moves up to jitter * spacing_m in both axes, so edge lengths
-    spread around spacing_m. Georeferenced around origin (lat, lon).
+    spread around spacing_m. Georeferenced around origin (lat, lon); every
+    node's latitude must stay strictly between the poles.
     """
     if n < 2:
         raise ValueError("grid needs at least 2 nodes per side")
@@ -105,6 +106,8 @@ def make_synthetic_grid(
     north = steps[:, None] + offsets[:, :, 0]
     east = steps[None, :] + offsets[:, :, 1]
     lat = (lat0 + north / M_PER_DEG_LAT).ravel()
+    if np.any(np.abs(lat) >= 90.0):
+        raise ValueError("grid latitudes must lie strictly between -90 and 90")
     lon = (lon0 + east / (M_PER_DEG_LAT * np.cos(np.radians(lat0)))).ravel()
     width = len(str(n - 1))
     ids = [f"n{r:0{width}d}_{c:0{width}d}" for r in range(n) for c in range(n)]

@@ -1,10 +1,12 @@
 """Trajectory reconstruction: from a CAN log to a weighted line graph.
 
-Stops (zero speed) and turns (pedal at idle) become graph nodes; the edge
-between consecutive nodes is weighted with the driven distance obtained by
-rectangle-integrating the speed signal between the two event times.
-Candidates, extraction and merging work on arrays of event times and a turn
-flag; only the events that survive merging become TrajectoryNodes.
+Stops (zero speed) and turns (pedal at idle) become graph nodes. Each
+branch's candidate samples fall into runs, one per stop or turn, and each
+run yields one event at its last sample. The edge between consecutive
+nodes is weighted with the driven distance obtained by rectangle-
+integrating the speed signal between the two event times. Candidates,
+extraction and merging work on arrays of event times and a turn flag; only
+the events that survive merging become TrajectoryNodes.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ _KINDS = (KIND_STOP, KIND_TURN)  # indexed by the turn flag
 
 KMH_TO_MS = 1.0 / 3.6
 
-# relative slack for the gap >= threshold test: the threshold is itself the
-# largest low-cluster gap, so gaps float-equal to it must fire
+# relative slack for the >= tests against a cutoff: the gaps of a 0.1 s
+# sample grid differ in their last bits, so a value float-equal to the
+# cutoff must count as reaching it
 _GAP_RTOL = 1e-9
 
 
@@ -90,9 +93,10 @@ def compute_threshold(gaps) -> float:
     sorted, so the 2-means optimum is found exactly by scanning every
     split point and minimizing the summed within-cluster variance. No
     iteration, no initialization sensitivity, fully deterministic. The
-    threshold is the largest gap in the cluster with the smaller mean:
-    gaps at or above it indicate travel between events rather than
-    jitter within one event.
+    threshold lies midway between the largest short gap and the smallest
+    long gap: gaps at or above it are travel between events, gaps below
+    it the sample spacing within one event. When all gaps are equal there
+    is no split; DegenerateClusters is warned and the common gap returned.
 
     Raises:
         InsufficientData: fewer than 2 gaps.
@@ -115,18 +119,20 @@ def compute_threshold(gaps) -> float:
     sse_lo = s2[k] - s[k] ** 2 / k
     sse_hi = (s2[n] - s2[k]) - (s[n] - s[k]) ** 2 / (n - k)
     split = int(k[np.argmin(sse_lo + sse_hi)])
-    return float(xs[split - 1])
+    return float((xs[split - 1] + xs[split]) / 2)
 
 
 def extract_nodes(times, delta: float) -> np.ndarray:
-    """Times of the candidates whose gap to the previous one is >= delta.
+    """The last candidate of each run: one event per stop or turn.
 
-    The first candidate never fires: it has no predecessor gap.
+    Candidates closer than delta form one run. A candidate fires when the
+    gap to the next one is >= delta, and the final candidate always fires,
+    so a run of one candidate yields its event too.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     t = np.asarray(times, dtype=np.float64)
-    return t[1:][np.diff(t) >= delta * (1.0 - _GAP_RTOL)]
+    return t[np.append(np.diff(t) >= delta * (1.0 - _GAP_RTOL), True)]
 
 
 def positions_m(speed: SpeedSeries, times) -> np.ndarray:
@@ -179,16 +185,19 @@ def build_trajectory(
     min_edge_m: float,
     *,
     pedal_idle_tol: float = 0.5,
-    include_first_event: bool = False,
 ) -> TrajectoryGraph:
     """Full reconstruction: candidates, thresholds, extraction, merge, weights.
+
+    Each branch with at least 3 candidates splits its candidate gaps by
+    compute_threshold and yields one event per run of candidates. The
+    merge then drops the turn that a stop co-times, since a stopped
+    vehicle also reads pedal-idle, and any event closer than min_edge_m
+    to the next.
 
     Args:
         log: parsed CAN log.
         min_edge_m: shortest road edge length; nodes closer than this merge.
         pedal_idle_tol: how far from the idle level still counts as idle.
-        include_first_event: also emit a node at each branch's first
-            candidate, which the gap walk alone never fires on.
 
     Returns:
         TrajectoryGraph with nodes in time order and one weight per
@@ -206,8 +215,6 @@ def build_trajectory(
                 warnings.warn(msg, NoCandidates, stacklevel=2)
             continue
         fired = extract_nodes(cands, compute_threshold(np.diff(cands)))
-        if include_first_event:
-            fired = np.concatenate((cands[:1], fired))
         times = np.concatenate((times, fired))
         is_turn = np.concatenate((is_turn, np.full(fired.size, turn)))
 

@@ -19,7 +19,6 @@ from canmatch.matcher import (
     DEFAULT_SIGMA_LADDER,
     CandidatePath,
     MatchConfig,
-    brute_force_match,
     run_attack,
 )
 from canmatch.metrics import GroundTruth, evaluate
@@ -32,6 +31,7 @@ from canmatch.simulate import (
 from canmatch.trajgraph import build_trajectory, compute_threshold, positions_m
 from helpers import (
     all_matches,
+    brute_force_match,
     equator_node,
     graph_of,
     path_weights,

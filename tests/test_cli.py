@@ -264,8 +264,13 @@ def test_evaluate_missing_truth(pipeline, tmp_path):
     assert rc == 2
 
 
-# report.json of the README quick start, as the commands there write it
+# the README quick start's outputs, as the commands there write them; the
+# attack's files pin the reconstructed node times as well as the candidates
 QUICK_START_REPORT_SHA256 = "ab43eec8ec504fb8cc8b1649691f212740fdc17706c7c6519de8c87e83e91e15"
+QUICK_START_ATTACK_SHA256 = {
+    "result.json": "550169cd8d3de734d94ff8d88edb4c2250dbb21295fc5750c8831ca6c7553f0b",
+    "candidates.geojson": "d35be35b9affd6c06761e46a572de8fa1b2b648062ebbbcf643b9d030afca969",
+}
 
 
 def test_readme_quick_start_report_bytes_are_pinned(tmp_path):
@@ -283,6 +288,8 @@ def test_readme_quick_start_report_bytes_are_pinned(tmp_path):
     rep = json.loads(report.read_text())
     assert (rep["offset_m"], rep["precision"]) == (48.656845717326235, 0.9166666666666666)
     assert hashlib.sha256(report.read_bytes()).hexdigest() == QUICK_START_REPORT_SHA256
+    for name, digest in QUICK_START_ATTACK_SHA256.items():
+        assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_every_readme_command_parses():
@@ -319,11 +326,11 @@ def test_attack_k_flag_beats_config(pipeline, tmp_path):
 
 
 def test_reused_parser_leaks_no_option_between_calls(pipeline, tmp_path, monkeypatch):
-    first_event = []
+    idle_tol = []
     real = trajgraph.build_trajectory
 
     def spy(*args, **kwargs):
-        first_event.append(kwargs.get("include_first_event", False))
+        idle_tol.append(kwargs.get("pedal_idle_tol"))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(trajgraph, "build_trajectory", spy)
@@ -335,9 +342,9 @@ def test_reused_parser_leaks_no_option_between_calls(pipeline, tmp_path, monkeyp
         return json.loads((tmp_path / name / "result.json").read_text())
 
     plain = attack("plain")
-    flagged = attack("flagged", "--k", "3", "--include-first-event")
+    flagged = attack("flagged", "--k", "3", "--pedal-idle-tol", "0.3")
     again = attack("again")
-    assert first_event == [False, True, False]
+    assert idle_tol == [None, 0.3, None]
     assert flagged["config"]["k"] == 3
     assert again == plain
     assert again["config"]["k"] == 5
@@ -479,6 +486,10 @@ def test_config_integer_option_takes_what_its_flag_takes(pipeline, tmp_path):
         ("make-grid", "--n 1"),
         ("make-grid", "--jitter 0.7"),
         ("make-grid", "--origin 1"),
+        # a grid node at or past a pole
+        ("make-grid", "--origin=90,0"),
+        ("make-grid", "--origin=95,0"),
+        ("make-grid", "--origin=-90,0"),
         ("simulate", "--q 1"),
         ("simulate", "--cruise-mps -1"),
         ("simulate", "--dwell-s 1,2,3"),

@@ -10,13 +10,12 @@ import numpy as np
 import pytest
 
 from canmatch import _kernels
-from canmatch.errors import OracleTooLarge, TrajectoryTooShort
+from canmatch.errors import TrajectoryTooShort
 from canmatch.matcher import (
     DEFAULT_SIGMA_LADDER,
     AttackResult,
     CandidatePath,
     MatchConfig,
-    brute_force_match,
     result_from_dict,
     result_to_geojson,
     run_attack,
@@ -24,7 +23,9 @@ from canmatch.matcher import (
 from canmatch.roadnet import RoadEdge, RoadGraph, RoadNode
 from canmatch.simulate import make_synthetic_grid
 from helpers import (
+    OracleTooLarge,
     all_matches,
+    brute_force_match,
     equator_node,
     graph_of,
     line_graph,

@@ -122,6 +122,10 @@ def test_grid_rejects_bad_arguments():
         make_synthetic_grid(1, 100.0, 0.0)
     with pytest.raises(ValueError):
         make_synthetic_grid(3, 100.0, 0.6)
+    # a node at or past a pole has no east-west direction
+    for origin in ((90.0, 0.0), (95.0, 0.0), (-90.0, 0.0), (89.999, 0.0)):
+        with pytest.raises(ValueError, match="latitudes"):
+            make_synthetic_grid(3, 300.0, 0.0, origin=origin)
 
 
 def test_grid_edge_count_formula():

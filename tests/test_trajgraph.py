@@ -102,7 +102,8 @@ def test_pedal_tolerance_must_be_finite_and_non_negative(tol):
 def test_candidate_gaps_example():
     c = candidate_points(_stops_at([0.0, 0.1, 20.0, 45.3], [0.0, 0.1, 45.3]))
     assert np.diff(c).tolist() == pytest.approx([0.1, 45.2])
-    assert compute_threshold(np.diff(c)) == pytest.approx(0.1)
+    # midway between the short cluster's 0.1 and the long cluster's 45.2
+    assert compute_threshold(np.diff(c)) == pytest.approx(22.65)
 
 
 def _skipped_branch(stops, count):
@@ -135,7 +136,7 @@ def test_single_candidate_gives_no_gap():
 
 def test_threshold_bimodal_example():
     gaps = np.array([0.1] * 9 + [60.0, 61.0])
-    assert compute_threshold(gaps) == pytest.approx(0.1)
+    assert compute_threshold(gaps) == pytest.approx(30.05)
 
 
 def test_threshold_degenerate_equal_gaps():
@@ -170,22 +171,55 @@ def test_threshold_separates_disjoint_supports():
 
 
 def test_extract_nodes_hand_trace():
+    # three runs, each firing at its last candidate
     fired = extract_nodes(np.array([0.0, 0.1, 0.2, 45.3, 45.4, 99.0]), delta=1.0)
-    assert fired.tolist() == [45.3, 99.0]
+    assert fired.tolist() == [0.2, 45.4, 99.0]
 
 
-def test_extract_single_candidate_never_fires():
-    assert extract_nodes(np.array([3.0]), delta=0.5).size == 0
+def test_extract_single_candidate_fires():
+    assert extract_nodes(np.array([3.0]), delta=0.5).tolist() == [3.0]
 
 
 def test_extract_all_gaps_below_delta():
-    assert extract_nodes(np.array([0.0, 0.1, 0.2]), delta=1.0).size == 0
+    # one run, so one event
+    assert extract_nodes(np.array([0.0, 0.1, 0.2]), delta=1.0).tolist() == [0.2]
 
 
 def test_extract_fires_on_float_equal_gap():
     # gaps equal to delta must fire even when 0.1-grid arithmetic wobbles
     times = np.arange(50) * 0.1
-    assert extract_nodes(times, delta=0.1).size == 49
+    assert extract_nodes(times, delta=0.1).size == 50
+
+
+def _run_ends(mask) -> np.ndarray:
+    """Indices of the last sample of each run of consecutive True samples."""
+    mask = np.asarray(mask, dtype=bool)
+    return np.flatnonzero(mask & ~np.append(mask[1:], False))
+
+
+@pytest.mark.parametrize("pattern", ["alternate", "stops"])
+@pytest.mark.parametrize("noise_std, stop_offset_m", [(0.0, 0.0), (0.2, 0.0), (0.0, 10.0)])
+def test_extraction_fires_once_per_stop_or_turn(pattern, noise_std, stop_offset_m):
+    # a dwell is a run of consecutive zero-speed samples, and the pedal idles
+    # through each dwell and on one sample at each turn; each branch fires
+    # exactly once per run, at the run's last sample
+    g = make_synthetic_grid(5, 300.0, 0.1, seed=3)
+    for seed in range(5):
+        gt = sample_route(g, 8, seed=seed)
+        profile = DriveProfile(
+            event_pattern=pattern, speed_noise_std=noise_std,
+            stop_offset_m=stop_offset_m, seed=seed,
+        )
+        log = synthesize_can(gt, g, profile).log
+        idle = np.abs(log.pedal.values - log.pedal.idle_value) <= 0.5
+        for series, mask, events in (
+            (log.speed, log.speed.values == 0.0, 8 if pattern == "stops" else 4),
+            (log.pedal, idle, 8),
+        ):
+            cands = candidate_points(series)
+            fired = extract_nodes(cands, compute_threshold(np.diff(cands)))
+            assert fired.tolist() == series.times[_run_ends(mask)].tolist()
+            assert fired.size == events
 
 
 # --- distance integration
@@ -280,8 +314,8 @@ def test_merge_postcondition_random():
 
 def _flood_drive(rng):
     """Speed series with stops and slow stretches, plus a node at every
-    sample of them (up to about 900), as gap-walk extraction produces, and
-    a few co-timed stop/turn pairs and off-grid node times, shuffled."""
+    sample of them (up to about 900), so that long chains merge, and a few
+    co-timed stop/turn pairs and off-grid node times, shuffled."""
     n = int(rng.integers(400, 2500))
     times = np.arange(n) * float(rng.choice([0.1, 0.5, 1.0]))
     speeds = rng.uniform(20.0, 60.0, size=n)
@@ -398,16 +432,14 @@ def _first_turn_log() -> CanLog:
     return CanLog(speed=_speed(times, speeds), pedal=_pedal(times.copy(), pedals))
 
 
-def test_build_trajectory_include_first_event():
-    # the idle pedal at t=30 is the turn branch's first candidate, which
-    # the gap walk alone never fires on; the flag adds it
-    base = build_trajectory(_first_turn_log(), min_edge_m=100.0)
-    with_first = build_trajectory(_first_turn_log(), min_edge_m=100.0, include_first_event=True)
-    assert [(n.event_time_s, n.kind) for n in base.nodes] == [(83.0, "stop"), (146.0, "stop")]
-    assert [(n.event_time_s, n.kind) for n in with_first.nodes] == [
+def test_build_trajectory_fires_on_the_first_run():
+    # the idle pedal at t=30 is the turn branch's first run, a single
+    # candidate; it yields its event like every later run
+    traj = build_trajectory(_first_turn_log(), min_edge_m=100.0)
+    assert [(n.event_time_s, n.kind) for n in traj.nodes] == [
         (30.0, "turn"), (83.0, "stop"), (146.0, "stop")
     ]
-    assert with_first.edge_weights_m.tolist() == [510.0, 600.0]
+    assert traj.edge_weights_m.tolist() == [510.0, 600.0]
 
 
 def test_build_trajectory_simulator_route():
