@@ -69,11 +69,6 @@ class SpeedSeries(_Series):
 class PedalSeries(_Series):
     """Throttle pedal position in percent; values are never negative."""
 
-    @property
-    def idle_value(self) -> float:
-        """The resting pedal level, taken as the series minimum."""
-        return float(self.values.min())
-
 
 @dataclass(frozen=True)
 class CanLog:

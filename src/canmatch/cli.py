@@ -370,7 +370,9 @@ def cmd_sweep(args, opts) -> int:
     run_trial = functools.partial(_sweep_trial, master, spacing, grid_jitter, profile)
     t0 = time.monotonic()
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool forks all its workers at the first submit, so never ask for more than can run
+        n_procs = min(workers, len(tasks), os.cpu_count() or 1)
+        with concurrent.futures.ProcessPoolExecutor(max_workers=n_procs) as pool:
             rows = list(pool.map(run_trial, tasks, chunksize=1))
     else:
         rows = [run_trial(t) for t in tasks]

@@ -93,7 +93,8 @@ def make_synthetic_grid(
 
     Each node moves up to jitter * spacing_m in both axes, so edge lengths
     spread around spacing_m. Georeferenced around origin (lat, lon); every
-    node's latitude must stay strictly between the poles.
+    node's latitude must stay strictly between the poles, and the origin's
+    longitude must lie in [-180, 180].
     """
     if n < 2:
         raise ValueError("grid needs at least 2 nodes per side")
@@ -101,6 +102,8 @@ def make_synthetic_grid(
         raise ValueError("jitter must lie in [0, 0.5) to keep the lattice planar")
     rng = np.random.default_rng(seed)
     lat0, lon0 = origin
+    if not -180.0 <= lon0 <= 180.0:
+        raise ValueError(f"origin longitude must lie in [-180, 180], not {lon0}")
     offsets = rng.uniform(-jitter * spacing_m, jitter * spacing_m, size=(n, n, 2))
     steps = np.arange(n) * spacing_m
     north = steps[:, None] + offsets[:, :, 0]

@@ -1,8 +1,10 @@
 """Trajectory reconstruction: from a CAN log to a weighted line graph.
 
-Stops (zero speed) and turns (pedal at idle) become graph nodes. Each
-branch's candidate samples fall into runs, one per stop or turn, and each
-run yields one event at its last sample. The edge between consecutive
+Stops and turns become graph nodes. A stop candidate is a speed sample
+of exactly zero; a turn candidate is a pedal sample within a tolerance of
+the pedal's minimum over the log, its resting level. Each branch's
+candidate samples fall into runs, one per stop or turn, and each run
+yields one event at its last sample. The edge between consecutive
 nodes is weighted with the driven distance obtained by rectangle-
 integrating the speed signal between the two event times. Candidates,
 extraction and merging work on arrays of event times and a turn flag; only
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canlog import CanLog, PedalSeries, SpeedSeries
+from .canlog import CanLog, SpeedSeries
 from .errors import BadOption, DegenerateClusters, InsufficientData, NoCandidates, TooFewNodes
 
 KIND_STOP = "stop"
@@ -60,30 +62,6 @@ class TrajectoryGraph:
         nodes = [TrajectoryNode(float(n["t"]), str(n["kind"])) for n in doc["nodes"]]
         weights = np.asarray(doc["edge_weights_m"], dtype=np.float64)
         return cls(nodes=nodes, edge_weights_m=weights)
-
-
-def candidate_points(series, *, pedal_idle_tol: float = 0.5) -> np.ndarray:
-    """Times of the samples marking potential stops or turns.
-
-    A SpeedSeries yields stop candidates (speed exactly zero). A PedalSeries
-    yields turn candidates (value within pedal_idle_tol of the series
-    minimum, the resting pedal level). Raises BadOption for a tolerance
-    that is negative or not finite.
-    """
-    if not 0 <= pedal_idle_tol < math.inf:
-        raise BadOption(f"pedal_idle_tol must be finite and non-negative, not {pedal_idle_tol}")
-    if isinstance(series, SpeedSeries):
-        mask = series.values == 0.0
-        kind = KIND_STOP
-    elif isinstance(series, PedalSeries):
-        mask = np.abs(series.values - series.idle_value) <= pedal_idle_tol
-        kind = KIND_TURN
-    else:
-        raise TypeError(f"expected SpeedSeries or PedalSeries, got {type(series)!r}")
-    times = series.times[mask]
-    if times.size == 0:
-        warnings.warn(f"no {kind} candidates in series", NoCandidates, stacklevel=2)
-    return times
 
 
 def compute_threshold(gaps) -> float:
@@ -188,31 +166,43 @@ def build_trajectory(
 ) -> TrajectoryGraph:
     """Full reconstruction: candidates, thresholds, extraction, merge, weights.
 
-    Each branch with at least 3 candidates splits its candidate gaps by
-    compute_threshold and yields one event per run of candidates. The
-    merge then drops the turn that a stop co-times, since a stopped
-    vehicle also reads pedal-idle, and any event closer than min_edge_m
-    to the next.
+    Stop candidates are the times of speed samples equal to zero; turn
+    candidates are the times of pedal samples within pedal_idle_tol of the
+    pedal's minimum over the log, the resting level. A branch with fewer
+    than 3 candidates is skipped with a NoCandidates warning. Each other
+    branch splits its candidate gaps by compute_threshold and yields one
+    event per run of candidates. The merge then drops the turn that a stop
+    co-times, since a stopped vehicle also reads pedal-idle, and any event
+    closer than min_edge_m to the next.
 
     Args:
         log: parsed CAN log.
         min_edge_m: shortest road edge length; nodes closer than this merge.
-        pedal_idle_tol: how far from the idle level still counts as idle.
+        pedal_idle_tol: how far from the resting pedal level still counts
+            as idle.
 
     Returns:
         TrajectoryGraph with nodes in time order and one weight per
         consecutive pair.
 
     Raises:
+        BadOption: pedal_idle_tol is negative or not finite.
         TooFewNodes: fewer than 2 nodes survive merging.
     """
+    if not 0 <= pedal_idle_tol < math.inf:
+        raise BadOption(f"pedal_idle_tol must be finite and non-negative, not {pedal_idle_tol}")
+    stops = log.speed.times[log.speed.values == 0.0]
+    turns = log.pedal.times[np.abs(log.pedal.values - log.pedal.values.min()) <= pedal_idle_tol]
+
     times, is_turn = np.empty(0), np.empty(0, dtype=bool)
-    for series, turn in ((log.speed, False), (log.pedal, True)):
-        cands = candidate_points(series, pedal_idle_tol=pedal_idle_tol)
+    for cands, turn in ((stops, False), (turns, True)):
         if cands.size < 3:
+            kind = _KINDS[turn]
             if cands.size:
-                msg = f"only {cands.size} {_KINDS[turn]} candidate(s); branch skipped"
-                warnings.warn(msg, NoCandidates, stacklevel=2)
+                msg = f"only {cands.size} {kind} candidate(s); branch skipped"
+            else:
+                msg = f"no {kind} candidates in series"
+            warnings.warn(msg, NoCandidates, stacklevel=2)
             continue
         fired = extract_nodes(cands, compute_threshold(np.diff(cands)))
         times = np.concatenate((times, fired))

@@ -25,9 +25,11 @@ from canmatch.errors import (
     DuplicateTimestamp,
     EmptyLog,
     MalformedRow,
+    NoCandidates,
     NonMonotonicTime,
     UnknownSignal,
 )
+from canmatch.trajgraph import build_trajectory
 
 from helpers import reference_parse_can_csv, reference_to_csv
 
@@ -40,7 +42,7 @@ def test_parse_three_row_example():
     log = parse_can_csv(_log_text(["0.0,speed,0", "0.1,speed,5.2", "0.0,pedal,14"]))
     assert log.speed.times.size == 2
     assert log.pedal.times.size == 1
-    assert log.pedal.idle_value == 14.0
+    assert log.pedal.values.tolist() == [14.0]
 
 
 def test_parse_header_only_is_empty():
@@ -171,11 +173,17 @@ def test_parse_is_order_insensitive():
 
 
 def test_idle_value_invariant_under_higher_samples():
-    log = parse_can_csv(_log_text(["0.0,speed,1", "0.0,pedal,14", "0.1,pedal,15"]))
-    more = parse_can_csv(
-        _log_text(["0.0,speed,1", "0.0,pedal,14", "0.1,pedal,15", "0.2,pedal,99"])
-    )
-    assert more.pedal.idle_value == log.pedal.idle_value == 14.0
+    # a pedal sample above cruise leaves the resting level, and so the turn
+    # events, as they were
+    rows = [f"{t}.0,speed,36" for t in range(100)]
+    rows += [f"{t}.0,pedal,{14 if t in (20, 50, 51, 85) else 30}" for t in range(100)]
+    log = parse_can_csv(_log_text(rows))
+    more = parse_can_csv(_log_text(rows + ["99.5,pedal,99"]))
+    with pytest.warns(NoCandidates, match="no stop candidates"):
+        turns = build_trajectory(log, min_edge_m=1.0).to_dict()
+    with pytest.warns(NoCandidates, match="no stop candidates"):
+        assert build_trajectory(more, min_edge_m=1.0).to_dict() == turns
+    assert [n["t"] for n in turns["nodes"]] == [20.0, 51.0, 85.0]
 
 
 def test_file_round_trip_plain_and_gz(tmp_path):

@@ -1,6 +1,7 @@
 """End-to-end tests driving the CLI entry point in-process."""
 from __future__ import annotations
 
+import concurrent.futures
 import gzip
 import hashlib
 import importlib.util
@@ -490,6 +491,10 @@ def test_config_integer_option_takes_what_its_flag_takes(pipeline, tmp_path):
         ("make-grid", "--origin=90,0"),
         ("make-grid", "--origin=95,0"),
         ("make-grid", "--origin=-90,0"),
+        # an origin longitude outside [-180, 180]
+        ("make-grid", "--origin=0,540"),
+        ("make-grid", "--origin=0,1e308"),
+        ("make-grid", "--origin=0,nan"),
         ("simulate", "--q 1"),
         ("simulate", "--cruise-mps -1"),
         ("simulate", "--dwell-s 1,2,3"),
@@ -822,6 +827,34 @@ def test_sweep_csv_shape_and_determinism(tmp_path):
     par = tmp_path / "sweep_par.csv"
     assert main(["sweep", "--out", str(par), *SWEEP_ARGS, "--workers", "2"]) == 0
     assert par.read_bytes() == out.read_bytes()
+
+
+def test_sweep_workers_never_exceed_the_task_count(tmp_path, monkeypatch):
+    # the pool forks every worker it is given at the first submit; a fake
+    # pool records the count and maps in this process, so none is started
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    args = ["--sides-km", "0.9", "--qs", "5", "--ks", "3", "--trials", "2", "--seed", "5"]
+    serial, par = tmp_path / "serial.csv", tmp_path / "par.csv"
+    assert main(["sweep", "--out", str(serial), *args]) == 0
+    assert asked == []
+    assert main(["sweep", "--out", str(par), *args, "--workers", "1000000"]) == 0
+    assert len(asked) == 1 and asked[0] <= 2
+    assert par.read_bytes() == serial.read_bytes()
 
 
 @pytest.mark.parametrize(

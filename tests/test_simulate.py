@@ -126,6 +126,10 @@ def test_grid_rejects_bad_arguments():
     for origin in ((90.0, 0.0), (95.0, 0.0), (-90.0, 0.0), (89.999, 0.0)):
         with pytest.raises(ValueError, match="latitudes"):
             make_synthetic_grid(3, 300.0, 0.0, origin=origin)
+    # past the antimeridian, or so large that the longitude step is lost in float
+    for lon in (540.0, -180.5, 1e308, float("nan")):
+        with pytest.raises(ValueError, match="longitude"):
+            make_synthetic_grid(3, 300.0, 0.0, origin=(0.0, lon))
 
 
 def test_grid_edge_count_formula():

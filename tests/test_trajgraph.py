@@ -1,6 +1,10 @@
 """Trajectory reconstruction: candidates, clustering, extraction, merge."""
 from __future__ import annotations
 
+import hashlib
+import json
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,7 +21,6 @@ from canmatch.trajgraph import (
     TrajectoryGraph,
     TrajectoryNode,
     build_trajectory,
-    candidate_points,
     compute_threshold,
     extract_nodes,
     merge_nodes,
@@ -66,41 +69,87 @@ def _stops_at(times, stops) -> SpeedSeries:
 # --- candidate extraction
 
 
+def _drive(speed=None, pedal=None) -> CanLog:
+    """A 100 s drive at 1 Hz: 36 km/h and pedal 30, except at the times that
+    speed and pedal map to other values."""
+    times = np.arange(100.0)
+    speeds, pedals = np.full(100, 36.0), np.full(100, 30.0)
+    for values, changes in ((speeds, speed), (pedals, pedal)):
+        for t, v in (changes or {}).items():
+            values[t] = v
+    return CanLog(speed=_speed(times, speeds), pedal=_pedal(times.copy(), pedals))
+
+
+def _events(log, **kwargs) -> list[tuple[float, str]]:
+    traj = build_trajectory(log, min_edge_m=1.0, **kwargs)
+    return [(n.event_time_s, n.kind) for n in traj.nodes]
+
+
+# the pedal idles at these two-sample runs; a 15.0 at t=70 is 1.0 above idle
+_IDLE_RUNS = {19: 14.0, 20: 14.0, 49: 14.0, 50: 14.0, 84: 14.0, 85: 14.0, 70: 15.0}
+
+
 def test_speed_candidates_are_zero_samples():
-    c = candidate_points(_speed([0.0, 0.1, 0.2], [0.0, 5.0, 0.0]))
-    assert c.tolist() == [0.0, 0.2]
+    # only exactly-zero samples are stop candidates, so 0.01 km/h at t=60 is
+    # none; one idle pedal sample skips the turn branch
+    log = _drive(speed={10: 0.0, 40: 0.0, 41: 0.0, 60: 0.01, 80: 0.0}, pedal={0: 14.0})
+    with pytest.warns(NoCandidates, match="only 1 turn candidate"):
+        events = _events(log)
+    assert events == [(10.0, "stop"), (41.0, "stop"), (80.0, "stop")]
 
 
+@pytest.mark.filterwarnings("ignore::canmatch.errors.NoCandidates")
 def test_pedal_candidates_near_idle():
-    c = candidate_points(_pedal([0.0, 0.1, 0.2], [14.0, 14.0, 30.0]))
-    assert c.tolist() == [0.0, 0.1]
+    # turn candidates lie within 0.5 of the pedal's minimum: 14.4 at t=70 is
+    # one, 14.6 at t=30 is none
+    log = _drive(pedal={20: 14.0, 30: 14.6, 50: 14.0, 51: 14.0, 70: 14.4, 85: 14.0})
+    assert _events(log) == [(20.0, "turn"), (51.0, "turn"), (70.0, "turn"), (85.0, "turn")]
+    # the resting level is the minimum, wherever it lies
+    lowered = _drive(pedal={20: 4.0, 30: 4.6, 50: 4.0, 51: 4.0, 70: 4.4, 85: 4.0})
+    assert _events(lowered) == _events(log)
 
 
 def test_no_candidates_warns():
-    with pytest.warns(NoCandidates):
-        c = candidate_points(_speed([0.0, 0.1], [3.0, 5.0]))
-    assert c.size == 0
+    with pytest.warns(NoCandidates) as caught:
+        events = _events(_drive(pedal=_IDLE_RUNS))
+    assert [str(w.message) for w in caught] == ["no stop candidates in series"]
+    assert events == [(20.0, "turn"), (50.0, "turn"), (85.0, "turn")]
 
 
+@pytest.mark.filterwarnings("ignore::canmatch.errors.NoCandidates")
 def test_pedal_tolerance_is_configurable():
-    series = _pedal([0.0, 0.1, 0.2], [14.0, 15.0, 30.0])
-    assert candidate_points(series).size == 1
-    assert candidate_points(series, pedal_idle_tol=1.5).size == 2
+    log = _drive(pedal=_IDLE_RUNS)
+    assert [t for t, _ in _events(log)] == [20.0, 50.0, 85.0]
+    assert [t for t, _ in _events(log, pedal_idle_tol=1.5)] == [20.0, 50.0, 70.0, 85.0]
 
 
+@pytest.mark.filterwarnings("ignore::canmatch.errors.NoCandidates")
 @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
 def test_pedal_tolerance_must_be_finite_and_non_negative(tol):
-    series = _pedal([0.0, 0.1, 0.2], [14.0, 15.0, 30.0])
-    with pytest.raises(BadOption):
-        candidate_points(series, pedal_idle_tol=tol)
-    assert candidate_points(series, pedal_idle_tol=0.0).size == 1
+    log = _drive(pedal=_IDLE_RUNS)
+    # checked before either branch can warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadOption):
+            build_trajectory(log, min_edge_m=1.0, pedal_idle_tol=tol)
+    assert [t for t, _ in _events(log, pedal_idle_tol=0.0)] == [20.0, 50.0, 85.0]
 
 
 # --- gaps and threshold
 
 
+def _zero_times(speed: SpeedSeries) -> np.ndarray:
+    """The stop candidates: times of the samples at exactly zero speed."""
+    return speed.times[speed.values == 0.0]
+
+
+def _idle_mask(pedal: PedalSeries) -> np.ndarray:
+    """The turn candidates: samples within 0.5 of the pedal's minimum."""
+    return np.abs(pedal.values - pedal.values.min()) <= 0.5
+
+
 def test_candidate_gaps_example():
-    c = candidate_points(_stops_at([0.0, 0.1, 20.0, 45.3], [0.0, 0.1, 45.3]))
+    c = _zero_times(_stops_at([0.0, 0.1, 20.0, 45.3], [0.0, 0.1, 45.3]))
     assert np.diff(c).tolist() == pytest.approx([0.1, 45.2])
     # midway between the short cluster's 0.1 and the long cluster's 45.2
     assert compute_threshold(np.diff(c)) == pytest.approx(22.65)
@@ -118,7 +167,7 @@ def _skipped_branch(stops, count):
 
 @pytest.mark.filterwarnings("ignore::canmatch.errors.NoCandidates")
 def test_two_candidates_give_one_gap_and_no_threshold():
-    c = candidate_points(_stops_at([0.0, 1.0, 2.5, 9.0], [1.0, 2.5]))
+    c = _zero_times(_stops_at([0.0, 1.0, 2.5, 9.0], [1.0, 2.5]))
     assert np.diff(c).tolist() == [1.5]
     with pytest.raises(InsufficientData):
         compute_threshold(np.diff(c))
@@ -127,7 +176,7 @@ def test_two_candidates_give_one_gap_and_no_threshold():
 
 @pytest.mark.filterwarnings("ignore::canmatch.errors.NoCandidates")
 def test_single_candidate_gives_no_gap():
-    c = candidate_points(_stops_at([0.0, 1.0, 2.0], [1.0]))
+    c = _zero_times(_stops_at([0.0, 1.0, 2.0], [1.0]))
     assert np.diff(c).size == 0
     with pytest.raises(InsufficientData):
         compute_threshold(np.diff(c))
@@ -211,15 +260,20 @@ def test_extraction_fires_once_per_stop_or_turn(pattern, noise_std, stop_offset_
             stop_offset_m=stop_offset_m, seed=seed,
         )
         log = synthesize_can(gt, g, profile).log
-        idle = np.abs(log.pedal.values - log.pedal.idle_value) <= 0.5
-        for series, mask, events in (
-            (log.speed, log.speed.values == 0.0, 8 if pattern == "stops" else 4),
-            (log.pedal, idle, 8),
+        fired_by_kind = {}
+        for kind, series, mask, events in (
+            ("stop", log.speed, log.speed.values == 0.0, 8 if pattern == "stops" else 4),
+            ("turn", log.pedal, _idle_mask(log.pedal), 8),
         ):
-            cands = candidate_points(series)
+            cands = series.times[mask]
             fired = extract_nodes(cands, compute_threshold(np.diff(cands)))
             assert fired.tolist() == series.times[_run_ends(mask)].tolist()
             assert fired.size == events
+            fired_by_kind[kind] = fired.tolist()
+        # the trajectory's nodes are events of these runs, each of its kind
+        traj = build_trajectory(log, g.min_edge_length_m)
+        for n in traj.nodes:
+            assert n.event_time_s in fired_by_kind[n.kind]
 
 
 # --- distance integration
@@ -457,9 +511,36 @@ def test_build_trajectory_simulator_route():
 
 def test_both_branches_derive_a_threshold():
     log = _two_stop_log()
-    for series in (log.speed, log.pedal):
-        delta = compute_threshold(np.diff(candidate_points(series)))
+    for cands in (_zero_times(log.speed), log.pedal.times[_idle_mask(log.pedal)]):
+        delta = compute_threshold(np.diff(cands))
         assert 0.0 < delta < 80.0
+
+
+# sha256 of the JSON list of build_trajectory(...).to_dict() over the pool of
+# _pinned_pool_docs; any moved node time, kind or edge weight changes it
+TRAJECTORY_POOL_SHA256 = "da414528333e18e3193956328c15dfffaee7cdc69342cc60d9493dddc72082e1"
+
+
+def _pinned_pool_docs() -> list[dict]:
+    """Trajectories of 24 drives: both event patterns, each clean, with
+    0.2 m/s speed noise and with stops displaced up to 10 m, 4 drives each."""
+    g = make_synthetic_grid(6, 300.0, 0.1, seed=2)
+    docs = []
+    for pattern in ("alternate", "stops"):
+        for noise_std, stop_offset_m in ((0.0, 0.0), (0.2, 0.0), (0.0, 10.0)):
+            for seed in range(4):
+                profile = DriveProfile(
+                    event_pattern=pattern, speed_noise_std=noise_std,
+                    stop_offset_m=stop_offset_m, seed=seed,
+                )
+                log = synthesize_can(sample_route(g, 8, seed=seed), g, profile).log
+                docs.append(build_trajectory(log, g.min_edge_length_m).to_dict())
+    return docs
+
+
+def test_trajectory_bytes_are_pinned_on_a_seeded_pool():
+    text = json.dumps(_pinned_pool_docs())
+    assert hashlib.sha256(text.encode()).hexdigest() == TRAJECTORY_POOL_SHA256
 
 
 def test_trajectory_graph_dict_round_trip():
